@@ -149,14 +149,19 @@ def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
     signal is accumulated directly as the squared-weight self-terms; cross is
     obtained by subtracting signal from the dense averaged update, which is
     algebraically identical to the double sum over ordered client pairs but
-    costs one dense product instead of K**2.
+    costs one dense product instead of K**2. The oracle weighted sum is
+    accumulated in the same pass, in ``oracle_delta``'s order, so it is
+    bit-identical to that function's result.
     """
     _check_round(updates)
     _check_homogeneous(updates)
     averaged = adapter_delta(aggregate_fedit(updates))
     signal = np.zeros_like(averaged)
+    oracle = np.zeros_like(averaged)
     for u in updates:
-        signal += (u.weight**2) * adapter_delta(u.adapter)
+        delta = adapter_delta(u.adapter)
+        signal += (u.weight**2) * delta
+        oracle += u.weight * delta
     cross = averaged - signal
 
     scale = max(1.0, float(np.abs(averaged).max()))
@@ -164,7 +169,7 @@ def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
     assert np.abs((signal + cross) - averaged).max() <= tol
 
     cross_norm = float(np.linalg.norm(cross))
-    oracle_norm = float(np.linalg.norm(oracle_delta(updates)))
+    oracle_norm = float(np.linalg.norm(oracle))
     if cross_norm == 0.0:
         relative = 0.0
     elif oracle_norm == 0.0:

@@ -287,9 +287,9 @@ def export_shards(shards: list[ClientShard], path: str | Path) -> None:
 def import_shards(path: str | Path) -> list[ClientShard]:
     """Inverse of export_shards; shards come back ordered by client_id."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split()
-    if not text[0].startswith("# florasim-shards v1"):
+    if not text or not text[0].startswith("# florasim-shards v1"):
         raise ValueError(f"{path}: not a shard export file")
+    header = text[0].split()
     n = int(header[3].split("=")[1])
     m = int(header[4].split("=")[1])
     by_client: dict[int, tuple[list[list[float]], list[list[float]]]] = {}

@@ -9,16 +9,13 @@ merged weights — numerically identical to shipping the stacked factors and
 multiplying locally — while the ledger charges the protocol-accurate stacked
 sizes, so communication totals match the real wire exchange.
 
-Clients within a round are independent; set FLORA_SIM_THREADS to train them
-in a thread pool. Results are invariant to scheduling because each client
-owns its arrays, aggregation happens at the barrier in client order, and all
-randomness is derived per (experiment seed, client, round).
+Clients train one after another in client order. Each client owns its
+arrays and all randomness is derived per (experiment seed, client, round),
+so a client's adapter does not depend on which clients trained before it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,13 +33,12 @@ from .data import ClientShard, EvalSet, SkewSpec, gen_task, holdout_split, parti
 from .errors import ConfigError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import Batch, ToyModel, TrainConfig, evaluate, local_train
+from .training import Batch, ToyModel, TrainConfig, _loss_and_residual, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
 
 EVAL_FRACTION = 0.2
-THREADS_ENV = "FLORA_SIM_THREADS"
 
 # Stream tags keeping the per-purpose seed derivations disjoint.
 _TAG_INIT = 0
@@ -74,7 +70,13 @@ class ClientRuntime:
 
 @dataclass(frozen=True)
 class RoundMetrics:
-    """Evaluation and traffic for one completed training round."""
+    """Evaluation and traffic for one completed training round.
+
+    In a federated round every participant ends holding the redistributed
+    global weights, so each entry of per_client_eval_loss equals
+    global_eval_loss; it is evaluated once. Standalone clients keep their
+    own adapters and report distinct losses.
+    """
 
     round: int
     strategy: str
@@ -149,21 +151,9 @@ class ComparisonReport:
         return [row for s in self.strategies for row in self.reports[s].to_rows()]
 
 
-def _null_adapter(dim: Dim) -> LoraAdapter:
-    return LoraAdapter(a=np.zeros((1, dim.n)), b=np.zeros((dim.m, 1)))
-
-
 def _eval_base(base: BaseWeights, eval_set: EvalSet, loss: str) -> float:
-    model = ToyModel(base=base, adapter=_null_adapter(base.dim))
-    return evaluate(model, Batch(eval_set.xs, eval_set.ys), loss)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    value, _ = _loss_and_residual(eval_set.xs @ base.w.T, eval_set.ys, loss)
+    return value
 
 
 def _train_clients(
@@ -173,18 +163,13 @@ def _train_clients(
     round_index: int,
 ) -> list[LoraAdapter]:
     """Fresh-init and locally train every client; returns adapters in client order."""
-
-    def one(client: ClientRuntime) -> LoraAdapter:
+    adapters = []
+    for client in clients:
         policy = replace(init_policy, seed=derive_seed(client.seed, round_index, _TAG_INIT))
         adapter = init_adapter(client.local_base.dim, client.rank, policy)
         cfg = replace(train_cfg, seed=derive_seed(client.seed, round_index, _TAG_TRAIN))
-        return local_train(ToyModel(client.local_base, adapter), client.shard, cfg)
-
-    threads = _thread_count()
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, clients))
-    return [one(client) for client in clients]
+        adapters.append(local_train(ToyModel(client.local_base, adapter), client.shard, cfg))
+    return adapters
 
 
 def apply_updates(
@@ -248,12 +233,12 @@ def run_round(
     round_index = server.round
     server.round += 1
 
-    per_client = [_eval_base(c.local_base, eval_set, train_cfg.loss) for c in clients]
+    loss = _eval_base(new_base, eval_set, train_cfg.loss)
     return RoundMetrics(
         round=round_index,
         strategy=strategy,
-        global_eval_loss=_eval_base(new_base, eval_set, train_cfg.loss),
-        per_client_eval_loss=per_client,
+        global_eval_loss=loss,
+        per_client_eval_loss=[loss] * len(clients),
         fedit_relative_noise=noise,
         params_up=params_up,
         params_down=params_down,
@@ -309,7 +294,6 @@ def run_experiment(config) -> ExperimentReport:
     )
     init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std, seed=0)
     baseline = _eval_base(server.base, eval_set, config.loss)
-    baseline_clients = [_eval_base(c.local_base, eval_set, config.loss) for c in clients]
 
     rounds: list[RoundMetrics] = []
     if config.strategy in FEDERATED_STRATEGIES:
@@ -338,7 +322,8 @@ def run_experiment(config) -> ExperimentReport:
         strategy=config.strategy,
         seed=config.seed,
         baseline_loss=baseline,
-        baseline_client_losses=baseline_clients,
+        # Every client starts from the task's base, so each one's loss is the baseline.
+        baseline_client_losses=[baseline] * len(clients),
         rounds=rounds,
         ledger=server.ledger,
     )

@@ -92,22 +92,27 @@ class Batch:
         return len(self.inputs)
 
 
+def _forward(
+    w: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch outputs x (w + b a)^T as two thin products; returns (x a^T, outputs)."""
+    ax = x @ a.T
+    return ax, x @ w.T + ax @ b.T
+
+
 def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
     """y = w x + b (a x), two thin products."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.base.n,):
         raise ValueError(f"input must be a vector of length {model.base.n}, got {x.shape}")
-    return model.base.w @ x + model.adapter.b @ (model.adapter.a @ x)
+    _, y = _forward(model.base.w, model.adapter.a, model.adapter.b, x[None, :])
+    return y[0]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _batch_outputs(w: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return x @ w.T + (x @ a.T) @ b.T
 
 
 def _loss_and_residual(
@@ -127,23 +132,27 @@ def _loss_and_residual(
     return float(-np.log(picked).mean()), probs - onehot
 
 
+def _loss_and_grads(
+    w: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray, targets: np.ndarray, loss_kind: str
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, d_a, d_b) on raw arrays: the one gradient kernel, shared by
+    ``loss_and_grads`` and every SGD step of ``local_train``."""
+    ax, y = _forward(w, a, b, x)
+    loss, g = _loss_and_residual(y, targets, loss_kind)
+    count = len(x)
+    return loss, b.T @ (g.T @ x) / count, g.T @ ax / count
+
+
 def loss_and_grads(
     model: ToyModel, batch: Batch, loss_kind: str = "squared-error"
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean loss and gradients (loss, d_a, d_b) at the current adapter."""
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss {loss_kind!r}, expected one of {LOSS_KINDS}")
-    a, b, w = model.adapter.a, model.adapter.b, model.base.w
     x = batch.inputs
     if x.shape[1] != model.base.n:
         raise ValueError(f"batch inputs have {x.shape[1]} features, model expects {model.base.n}")
-    ax = x @ a.T
-    y = x @ w.T + ax @ b.T
-    loss, g = _loss_and_residual(y, batch.targets, loss_kind)
-    count = len(batch)
-    d_b = g.T @ ax / count
-    d_a = b.T @ (g.T @ x) / count
-    return loss, d_a, d_b
+    return _loss_and_grads(model.base.w, model.adapter.a, model.adapter.b, x, batch.targets, loss_kind)
 
 
 def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAdapter:
@@ -163,13 +172,7 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
         order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
         for start in range(0, shard.size, batch):
             idx = order[start : start + batch]
-            x, t = shard.xs[idx], shard.ys[idx]
-            ax = x @ a.T
-            y = x @ w.T + ax @ b.T
-            _, g = _loss_and_residual(y, t, cfg.loss)
-            count = len(idx)
-            d_b = g.T @ ax / count
-            d_a = b.T @ (g.T @ x) / count
+            _, d_a, d_b = _loss_and_grads(w, a, b, shard.xs[idx], shard.ys[idx], cfg.loss)
             a -= lr * d_a
             b -= lr * d_b
     return LoraAdapter(a=a, b=b)
@@ -177,6 +180,6 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
 
 def evaluate(model: ToyModel, batch: Batch, loss_kind: str = "squared-error") -> float:
     """Batch-mean loss of the model on a fixed evaluation batch."""
-    y = _batch_outputs(model.base.w, model.adapter.a, model.adapter.b, batch.inputs)
+    _, y = _forward(model.base.w, model.adapter.a, model.adapter.b, batch.inputs)
     loss, _ = _loss_and_residual(y, batch.targets, loss_kind)
     return loss

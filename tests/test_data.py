@@ -212,3 +212,10 @@ class TestShardExport:
         path.write_text("not a shard file\n")
         with pytest.raises(ValueError):
             import_shards(path)
+
+    @pytest.mark.parametrize("text", ["", " \n\n"])
+    def test_rejects_empty_or_blank_file(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a shard export file"):
+            import_shards(path)

@@ -28,7 +28,7 @@ from florasim.simulation import (
     _train_clients,
 )
 from florasim.lora import InitPolicy
-from florasim.training import TrainConfig
+from florasim.training import Batch, ToyModel, TrainConfig, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -194,25 +194,24 @@ class TestRunExperiment:
         }
         assert all(count == 2 for count in per_round_uploads.values())
 
+    def test_federated_client_losses_equal_global_loss(self):
+        config = with_overrides(SMALL, client_fraction=0.5, clients=4, ranks=(2, 2, 2, 2))
+        report = run_experiment(config)
+        assert report.baseline_client_losses == [report.baseline_loss] * 4
+        for metrics in report.rounds:
+            assert metrics.per_client_eval_loss == [metrics.global_eval_loss] * 2
+        # The base-only evaluation is the adapter path with a zero adapter, bit for bit.
+        server, _, eval_set = fresh_world(config)
+        zero = LoraAdapter(a=np.zeros((1, config.n)), b=np.zeros((config.m, 1)))
+        batch = Batch(eval_set.xs, eval_set.ys)
+        assert evaluate(ToyModel(server.base, zero), batch) == report.baseline_loss
+
     def test_invalid_config_rejected_with_fields(self):
         bad = ExperimentConfig(clients=3, ranks=(1, 2), rounds=-1)
         with pytest.raises(ConfigError) as err:
             run_experiment(bad)
         message = str(err.value)
         assert "ranks" in message and "rounds" in message
-
-
-class TestThreading:
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        serial = run_experiment(SMALL)
-        monkeypatch.setenv("FLORA_SIM_THREADS", "3")
-        threaded = run_experiment(SMALL)
-        assert serial.to_rows() == threaded.to_rows()
-
-    def test_garbage_env_value_means_serial(self, monkeypatch):
-        monkeypatch.setenv("FLORA_SIM_THREADS", "many")
-        report = run_experiment(SMALL)
-        assert len(report.rounds) == 2
 
 
 class TestCompare:

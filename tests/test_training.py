@@ -23,7 +23,7 @@ from florasim import (
     loss_and_grads,
 )
 from florasim.rng import derive_seed
-from florasim.training import evaluate
+from florasim.training import LOSS_KINDS, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -172,16 +172,19 @@ class TestLocalTrain:
         assert trained.a.tobytes() == model.adapter.a.tobytes()
         assert trained.b.tobytes() == model.adapter.b.tobytes()
 
-    def test_single_full_batch_step_matches_hand_application(self):
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_single_full_batch_step_matches_hand_application(self, loss_kind):
         gen = np.random.default_rng(35)
         shard = self.shard(gen, count=6)
+        if loss_kind == "softmax-cross-entropy":
+            shard = ClientShard(client_id=0, xs=shard.xs, ys=np.argmax(shard.ys, axis=1))
         model = random_model(gen, 3, 4, 2)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=6, local_epochs=1, seed=9)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=6, local_epochs=1, loss=loss_kind, seed=9)
         trained = local_train(model, shard, cfg)
         # Replay the documented epoch shuffle: seed derived as (cfg.seed, epoch).
         order = np.random.default_rng(derive_seed(9, 0)).permutation(6)
         _, d_a, d_b = loss_and_grads(
-            model, Batch(inputs=shard.xs[order], targets=shard.ys[order]), "squared-error"
+            model, Batch(inputs=shard.xs[order], targets=shard.ys[order]), loss_kind
         )
         assert np.array_equal(trained.a, model.adapter.a - 0.01 * d_a)
         assert np.array_equal(trained.b, model.adapter.b - 0.01 * d_b)
