@@ -75,11 +75,13 @@ def charge_round(
     ranks: list[int],
     k_clients: int,
     round_index: int,
-) -> None:
+) -> tuple[int, int]:
     """Append the transmissions of one round to the ledger.
 
     Round 0 also charges the initial dense broadcast. ``dim`` is anything
-    with integer attributes m and n.
+    with integer attributes m and n. Returns the (params up, params down)
+    just appended, which equals ``ledger.round_totals(round_index)`` when the
+    round is charged once.
     """
     m, n = dim.m, dim.n
     if m < 1 or n < 1:
@@ -91,20 +93,22 @@ def charge_round(
     if strategy not in LEDGER_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {LEDGER_STRATEGIES}")
 
+    down = 0
     if round_index == 0:
         # One m*n charge per receiving client, addressed as "broadcast" so the
         # one-time dissemination stays distinguishable from per-round traffic.
         broadcast_to = 1 if strategy == "centralized" else k_clients
         for _ in range(broadcast_to):
             ledger.add(CommEvent(0, "down", "broadcast", m * n, "full_model"))
+        down = broadcast_to * m * n
 
     if strategy in ("standalone", "centralized"):
-        return
+        return 0, down
     if strategy == "full_ft":
         for client in range(k_clients):
             ledger.add(CommEvent(round_index, "up", client, m * n, "full_model"))
             ledger.add(CommEvent(round_index, "down", client, m * n, "full_model"))
-        return
+        return k_clients * m * n, down + k_clients * m * n
 
     if strategy == "fedit" and len(set(ranks)) != 1:
         raise HeterogeneousRankError(f"averaging cannot run with mixed ranks {sorted(set(ranks))}")
@@ -117,6 +121,7 @@ def charge_round(
     for client, rank in enumerate(ranks):
         ledger.add(CommEvent(round_index, "up", client, rank * (m + n), "adapter"))
         ledger.add(CommEvent(round_index, "down", client, down_count, down_kind))
+    return sum(ranks) * (m + n), down + k_clients * down_count
 
 
 @dataclass(frozen=True)

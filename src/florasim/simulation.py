@@ -224,8 +224,7 @@ def run_round(
     elif strategy == "zero_padding":
         noise = fedit_noise(padded_updates(updates)).relative_noise
 
-    charge_round(server.ledger, strategy, dim, ranks, len(clients), server.round)
-    params_up, params_down = server.ledger.round_totals(server.round)
+    params_up, params_down = charge_round(server.ledger, strategy, dim, ranks, len(clients), server.round)
 
     server.base = new_base
     for client in clients:
@@ -245,8 +244,23 @@ def run_round(
     )
 
 
-def _build_world(config) -> tuple[ServerState, list[ClientRuntime], EvalSet]:
-    """Task, shards, clients and server from a validated config."""
+@dataclass(frozen=True)
+class _World:
+    """The data of one experiment: initial base, shards, held-out set, baseline.
+
+    Nothing here changes during a run (the arrays are read-only), so one
+    world serves every strategy of a comparison; each run draws its own
+    ServerState and ClientRuntime objects from it.
+    """
+
+    base: BaseWeights
+    shards: list[ClientShard]
+    eval_set: EvalSet
+    baseline: float
+
+
+def _build_world(config) -> _World:
+    """Task, holdout, shards and baseline loss from a validated config."""
     dim = Dim(config.m, config.n)
     task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
     train_task, eval_set = holdout_split(task, EVAL_FRACTION)
@@ -257,17 +271,22 @@ def _build_world(config) -> tuple[ServerState, list[ClientRuntime], EvalSet]:
             ClientShard(s.client_id, s.xs, np.argmax(s.ys, axis=1)) for s in shards
         ]
         eval_set = EvalSet(eval_set.xs, np.argmax(eval_set.ys, axis=1))
+    return _World(task.base, shards, eval_set, _eval_base(task.base, eval_set, config.loss))
+
+
+def _fresh_state(config, world: _World) -> tuple[ServerState, list[ClientRuntime]]:
+    """A new server and clients, all holding the world's initial base."""
     clients = [
         ClientRuntime(
             client_id=i,
-            shard=shards[i],
+            shard=world.shards[i],
             rank=config.ranks[i],
-            local_base=task.base,
+            local_base=world.base,
             seed=derive_seed(config.seed, i),
         )
         for i in range(config.clients)
     ]
-    return ServerState(base=task.base), clients, eval_set
+    return ServerState(base=world.base), clients
 
 
 def _participants(
@@ -284,7 +303,13 @@ def _participants(
 def run_experiment(config) -> ExperimentReport:
     """Build the task, run all rounds under config.strategy, report metrics."""
     config.validate()
-    server, clients, eval_set = _build_world(config)
+    return _run(config, _build_world(config))
+
+
+def _run(config, world: _World) -> ExperimentReport:
+    """All rounds of config.strategy on fresh state drawn from the world."""
+    server, clients = _fresh_state(config, world)
+    eval_set = world.eval_set
     train_cfg = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
@@ -293,7 +318,6 @@ def run_experiment(config) -> ExperimentReport:
         seed=0,
     )
     init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std, seed=0)
-    baseline = _eval_base(server.base, eval_set, config.loss)
 
     rounds: list[RoundMetrics] = []
     if config.strategy in FEDERATED_STRATEGIES:
@@ -321,9 +345,9 @@ def run_experiment(config) -> ExperimentReport:
     return ExperimentReport(
         strategy=config.strategy,
         seed=config.seed,
-        baseline_loss=baseline,
+        baseline_loss=world.baseline,
         # Every client starts from the task's base, so each one's loss is the baseline.
-        baseline_client_losses=[baseline] * len(clients),
+        baseline_client_losses=[world.baseline] * len(clients),
         rounds=rounds,
         ledger=server.ledger,
     )
@@ -353,8 +377,9 @@ def _run_standalone(
             adapters[client.client_id] = local_train(
                 ToyModel(client.local_base, adapters[client.client_id]), client.shard, cfg
             )
-        charge_round(server.ledger, "standalone", server.base.dim, [c.rank for c in clients], len(clients), t)
-        params_up, params_down = server.ledger.round_totals(t)
+        params_up, params_down = charge_round(
+            server.ledger, "standalone", server.base.dim, [c.rank for c in clients], len(clients), t
+        )
         per_client = [
             evaluate(
                 ToyModel(c.local_base, adapters[c.client_id]),
@@ -401,8 +426,9 @@ def _run_centralized(
     for t in range(config.rounds):
         cfg = replace(train_cfg, seed=derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN))
         adapter = local_train(ToyModel(server.base, adapter), pooled, cfg)
-        charge_round(server.ledger, "centralized", server.base.dim, [c.rank for c in clients], len(clients), t)
-        params_up, params_down = server.ledger.round_totals(t)
+        params_up, params_down = charge_round(
+            server.ledger, "centralized", server.base.dim, [c.rank for c in clients], len(clients), t
+        )
         loss = evaluate(ToyModel(server.base, adapter), Batch(eval_set.xs, eval_set.ys), config.loss)
         rounds.append(
             RoundMetrics(
@@ -420,7 +446,12 @@ def _run_centralized(
 
 
 def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
-    """Run each strategy over the identical task, partition and seeds."""
+    """Run each strategy over the identical task, partition and seeds.
+
+    The task, shards and held-out set are built once and shared; every
+    strategy runs on its own fresh server and clients, so each report equals
+    that of ``run_experiment`` for the same config and strategy.
+    """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
     problems = []
@@ -431,7 +462,9 @@ def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
             problems.append("strategies: fedit requires homogeneous ranks")
     if problems:
         raise ConfigError(problems)
-    reports = {}
-    for strategy in strategies:
-        reports[strategy] = run_experiment(replace(config, strategy=strategy))
+    configs = [replace(config, strategy=strategy) for strategy in strategies]
+    for strategy_config in configs:
+        strategy_config.validate()
+    world = _build_world(config)
+    reports = {c.strategy: _run(c, world) for c in configs}
     return ComparisonReport(seed=config.seed, strategies=tuple(strategies), reports=reports)

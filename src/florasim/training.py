@@ -8,8 +8,15 @@ g = dloss/dy, the batch-mean gradients are
     d_b = mean_i  g_i (a x_i)^T        (m x rank)
     d_a = mean_i  b^T g_i x_i^T        (rank x n)
 
-and plain mini-batch SGD applies them to both factors simultaneously. No
-momentum or weight decay: the one-step update is then exactly
+For a batch x (count x n) with residuals g (count x m) they are evaluated as
+
+    d_b = (g^T (x a^T)) / count
+    d_a = ((g b)^T x) / count
+
+so d_a pulls the residual back through the thin factor b first. No step
+forms an m x n matrix other than through the frozen base product x w^T.
+Plain mini-batch SGD applies both gradients to both factors simultaneously.
+No momentum or weight decay: the one-step update is then exactly
 factor - lr * gradient, which keeps oracle tests tight.
 """
 
@@ -109,12 +116,6 @@ def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
     return y[0]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _loss_and_residual(
     y: np.ndarray, targets: np.ndarray, loss_kind: str
 ) -> tuple[float, np.ndarray]:
@@ -125,11 +126,14 @@ def _loss_and_residual(
     labels = np.asarray(targets)
     if labels.ndim != 1:
         raise ValueError("softmax-cross-entropy expects a 1-d array of class indices")
-    probs = _softmax(y)
-    picked = probs[np.arange(count), labels.astype(int)]
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(count), labels.astype(int)] = 1.0
-    return float(-np.log(picked).mean()), probs - onehot
+    rows, labels = np.arange(count), labels.astype(int)
+    shifted = y - y.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    resid = e / total
+    resid[rows, labels] -= 1.0  # softmax probabilities minus one-hot labels
+    # Log-sum-exp form of -log(softmax): finite where a probability underflows to 0.
+    return float((np.log(total[:, 0]) - shifted[rows, labels]).mean()), resid
 
 
 def _loss_and_grads(
@@ -140,7 +144,7 @@ def _loss_and_grads(
     ax, y = _forward(w, a, b, x)
     loss, g = _loss_and_residual(y, targets, loss_kind)
     count = len(x)
-    return loss, b.T @ (g.T @ x) / count, g.T @ ax / count
+    return loss, (g @ b).T @ x / count, g.T @ ax / count
 
 
 def loss_and_grads(

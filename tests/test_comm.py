@@ -107,6 +107,21 @@ class TestChargeRound:
             ledger = charged_ledger(strategy, Dim(m, n), ranks, rounds)
             assert ledger.total() == closed_form_total(strategy, m, n, ranks, rounds)
 
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "full_ft", "standalone", "centralized"])
+    def test_returns_the_totals_it_appended(self, strategy):
+        gen = np.random.default_rng(42)
+        for _ in range(10):
+            k = int(gen.integers(1, 8))
+            dim = Dim(int(gen.integers(2, 32)), int(gen.integers(2, 32)))
+            if strategy == "fedit":
+                ranks = [int(gen.integers(1, 9))] * k
+            else:
+                ranks = [int(gen.integers(1, 9)) for _ in range(k)]
+            ledger = CommLedger()
+            for t in range(3):
+                returned = charge_round(ledger, strategy, dim, ranks, k, t)
+                assert returned == ledger.round_totals(t)
+
     def test_flora_download_dominates_fedit(self):
         gen = np.random.default_rng(41)
         for _ in range(20):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import florasim.simulation as simulation
 from florasim import (
     BaseWeights,
     ConfigError,
@@ -25,6 +28,7 @@ from florasim.simulation import (
     ClientRuntime,
     ServerState,
     _build_world,
+    _fresh_state,
     _train_clients,
 )
 from florasim.lora import InitPolicy
@@ -45,8 +49,9 @@ SMALL = ExperimentConfig(
 
 
 def fresh_world(config):
-    server, clients, eval_set = _build_world(config)
-    return server, clients, eval_set
+    world = _build_world(config)
+    server, clients = _fresh_state(config, world)
+    return server, clients, world.eval_set
 
 
 class TestRunRound:
@@ -247,6 +252,36 @@ class TestCompare:
         flora_rounds = [r.round for r in rows if r.strategy == "flora"]
         fedit_rounds = [r.round for r in rows if r.strategy == "fedit"]
         assert flora_rounds == fedit_rounds == [0, 1, 2]
+
+    @pytest.mark.parametrize("loss", ["squared-error", "softmax-cross-entropy"])
+    def test_each_strategy_matches_its_own_run(self, tmp_path, loss):
+        strategies = ["flora", "fedit", "zero_padding", "standalone", "centralized"]
+        config = with_overrides(SMALL, clients=4, ranks=(2,) * 4, rounds=3, loss=loss, client_fraction=0.5)
+        comparison = compare_strategies(config, strategies)
+        for strategy in strategies:
+            shared = tmp_path / f"{strategy}.shared.csv"
+            alone = tmp_path / f"{strategy}.alone.csv"
+            emit_rows(comparison.reports[strategy].to_rows(), shared, seed=config.seed)
+            emit_rows(run_experiment(replace(config, strategy=strategy)).to_rows(), alone, seed=config.seed)
+            assert shared.read_bytes() == alone.read_bytes()
+
+    def test_builds_task_and_partition_once(self, monkeypatch):
+        calls = {"gen_task": 0, "partition": 0}
+
+        def counted(name):
+            original = getattr(simulation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(simulation, name, counted(name))
+        config = with_overrides(SMALL, clients=3, ranks=(2,) * 3)
+        compare_strategies(config, ["flora", "fedit", "zero_padding", "standalone", "centralized"])
+        assert calls == {"gen_task": 1, "partition": 1}
 
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from florasim import (
     BaseWeights,
@@ -136,9 +138,117 @@ class TestLossAndGrads:
             assert_grads_close(d_a, fd_a)
             assert_grads_close(d_b, fd_b)
 
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize(
+        "m, n, r, count",
+        [
+            (3, 2, 5, 4),  # stacked rank above max(m, n)
+            (2, 4, 7, 3),
+            (4, 3, 2, 1),  # a remainder batch of one sample
+            (3, 3, 6, 1),
+        ],
+    )
+    def test_matches_finite_differences_on_stacked_ranks_and_single_samples(self, loss_kind, m, n, r, count):
+        gen = np.random.default_rng(1000 * m + 100 * n + 10 * r + count)
+        for _ in range(5):
+            model = random_model(gen, m, n, r)
+            if loss_kind == "squared-error":
+                targets = gen.normal(size=(count, m))
+            else:
+                targets = gen.integers(0, m, size=count)
+            batch = Batch(inputs=gen.normal(size=(count, n)), targets=targets)
+            _, d_a, d_b = loss_and_grads(model, batch, loss_kind)
+            fd_a, fd_b = finite_difference_grads(model, batch, loss_kind)
+            assert_grads_close(d_a, fd_a)
+            assert_grads_close(d_b, fd_b)
+
+    def test_wide_a_gradient_matches_dense_route(self):
+        self.check_a_gradient_against_dense_route(64, 64, 4, 32, "squared-error", 0)
+        self.check_a_gradient_against_dense_route(64, 64, 4, 32, "softmax-cross-entropy", 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(1, 64),
+        n=st.integers(1, 64),
+        r=st.integers(1, 80),
+        count=st.integers(1, 40),
+        loss_kind=st.sampled_from(LOSS_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_gradient_matches_dense_route_property(self, m, n, r, count, loss_kind, seed):
+        self.check_a_gradient_against_dense_route(m, n, r, count, loss_kind, seed)
+
+    @staticmethod
+    def check_a_gradient_against_dense_route(m, n, r, count, loss_kind, seed):
+        """d_a against b^T (g^T x) / count, which forms the m x n product g^T x."""
+        gen = np.random.default_rng(seed)
+        model = random_model(gen, m, n, r)
+        x = gen.normal(size=(count, n))
+        w, a, b = model.base.w, model.adapter.a, model.adapter.b
+        y = x @ w.T + (x @ a.T) @ b.T
+        if loss_kind == "squared-error":
+            targets = gen.normal(size=(count, m))
+            g = y - targets
+        else:
+            targets = gen.integers(0, m, size=count)
+            e = np.exp(y - y.max(axis=1, keepdims=True))
+            g = e / e.sum(axis=1, keepdims=True)
+            g[np.arange(count), targets] -= 1.0
+        reference = b.T @ (g.T @ x) / count
+        _, d_a, _ = loss_and_grads(model, Batch(inputs=x, targets=targets), loss_kind)
+        assert d_a.shape == (r, n)
+        assert np.abs(d_a - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             Batch(inputs=np.zeros((0, 2)), targets=np.zeros((0, 2)))
+
+
+class TestSoftmaxLoss:
+    @staticmethod
+    def logit_model(logits):
+        """A model whose output on the input [1.0] is the given logits."""
+        w = np.asarray(logits, dtype=np.float64)[:, None]
+        return ToyModel(BaseWeights(w), LoraAdapter(a=np.zeros((1, 1)), b=np.zeros((len(w), 1))))
+
+    def test_extreme_logits_give_finite_loss(self):
+        # The label's probability exp(-1600) underflows to 0, where -log(p) is inf.
+        model = self.logit_model([0.0, 800.0, -800.0])
+        batch = Batch(inputs=[[1.0]], targets=[2])
+        loss = evaluate(model, batch, "softmax-cross-entropy")
+        assert np.isfinite(loss)
+        assert loss == pytest.approx(1600.0, rel=1e-15)
+
+    def test_matches_negative_log_softmax_where_finite(self):
+        gen = np.random.default_rng(43)
+        for _ in range(25):
+            logits = gen.normal(scale=10.0, size=(6, 5))
+            labels = gen.integers(0, 5, size=6)
+            model = ToyModel(
+                BaseWeights(logits.T.copy()),
+                LoraAdapter(a=np.zeros((1, 6)), b=np.zeros((5, 1))),
+            )
+            batch = Batch(inputs=np.eye(6), targets=labels)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            old = float(-np.log(probs[np.arange(6), labels]).mean())
+            assert np.isfinite(old)
+            assert evaluate(model, batch, "softmax-cross-entropy") == pytest.approx(old, rel=1e-13)
+
+    def test_residual_is_probabilities_minus_onehot(self):
+        gen = np.random.default_rng(44)
+        model = random_model(gen, 4, 3, 2)
+        x = gen.normal(size=(5, 3))
+        labels = gen.integers(0, 4, size=5)
+        _, d_a, d_b = loss_and_grads(model, Batch(inputs=x, targets=labels), "softmax-cross-entropy")
+        y = x @ model.base.w.T + (x @ model.adapter.a.T) @ model.adapter.b.T
+        e = np.exp(y - y.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        onehot = np.zeros_like(probs)
+        onehot[np.arange(5), labels] = 1.0
+        g = probs - onehot
+        assert np.array_equal(d_b, g.T @ (x @ model.adapter.a.T) / 5)
+        assert np.array_equal(d_a, (g @ model.adapter.b).T @ x / 5)
 
 
 class TestOneStepIdentity:
