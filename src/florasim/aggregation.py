@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HeterogeneousRankError
-from .lora import LoraAdapter, adapter_delta, scale_adapter, split_rank1, stack_adapters
+from .lora import LoraAdapter, adapter_delta
 from .rng import fisher_yates
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -83,8 +83,20 @@ def aggregate_flora(updates: list[WeightedUpdate]) -> LoraAdapter:
     The update of the result is the weighted sum of client updates with no
     cross-client contamination; global rank is the sum of client ranks.
     """
+    return LoraAdapter(*_stacked_factors(updates))
+
+
+def _stacked_factors(updates: list[WeightedUpdate]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked (a, b): weight-scaled a factors row-wise, b factors column-wise.
+
+    Bit-identical to stacking ``scale_adapter(u.adapter, u.weight)`` for every
+    update, without building the scaled adapters.
+    """
     _check_round(updates)
-    return stack_adapters([scale_adapter(u.adapter, u.weight) for u in updates])
+    return (
+        np.vstack([u.weight * u.adapter.a for u in updates]),
+        np.hstack([u.adapter.b for u in updates]),
+    )
 
 
 def aggregate_fedit(updates: list[WeightedUpdate]) -> LoraAdapter:
@@ -189,18 +201,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def shuffled_stack(updates: list[WeightedUpdate], seed: int) -> LoraAdapter:
     """Stacking aggregation with the privacy shuffle.
 
-    Each scaled adapter is split into rank-1 sub-adapters, the full list of
-    sub-adapters is permuted uniformly (seeded Fisher-Yates, see ``rng``),
-    and the permuted list is stacked. The resulting update is identical to
+    The rank-1 pieces of the stacked adapter (row i of a with column i of b)
+    are permuted uniformly (seeded Fisher-Yates, see ``rng``): the same
+    factors as splitting every scaled adapter with ``split_rank1`` and
+    stacking the permuted pieces. The resulting update is identical to
     ``aggregate_flora`` — a sum of rank-1 terms is order-independent — but
     the row/column layout no longer reveals which contiguous block came from
     which client.
     """
-    _check_round(updates)
-    pieces = [
-        piece
-        for u in updates
-        for piece in split_rank1(scale_adapter(u.adapter, u.weight))
-    ]
-    order = fisher_yates(len(pieces), seed)
-    return stack_adapters([pieces[i] for i in order])
+    a, b = _stacked_factors(updates)
+    order = fisher_yates(len(a), seed)
+    return LoraAdapter(a=a[order], b=b[:, order])

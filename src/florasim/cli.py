@@ -7,7 +7,7 @@ Subcommands:
     verify         the built-in oracle and invariant suite
 
 Exit codes: 0 success, 1 invalid configuration or failed verification,
-2 runtime failure.
+2 runtime failure (``DivergenceError`` included).
 """
 
 from __future__ import annotations

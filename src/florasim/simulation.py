@@ -30,10 +30,10 @@ from .aggregation import (
 )
 from .comm import CommLedger, ReportRow, charge_round
 from .data import ClientShard, EvalSet, SkewSpec, gen_task, holdout_split, partition, scaling_factors
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import Batch, ToyModel, TrainConfig, _loss_and_residual, evaluate, local_train
+from .training import Batch, ToyModel, TrainConfig, _loss, _target_matrix, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
@@ -93,6 +93,14 @@ class RoundMetrics:
             raise ValueError("parameter counts must be >= 0")
 
 
+def _mean_client_loss(global_loss: float, client_losses: list[float]) -> float:
+    """Mean of the client losses; exactly global_loss when every client reports it
+    (the baseline and every federated round), where np.mean may round away."""
+    if all(loss == global_loss for loss in client_losses):
+        return global_loss
+    return float(np.mean(client_losses))
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Baseline evaluation plus per-round metrics for one strategy run."""
@@ -115,7 +123,7 @@ class ExperimentReport:
                 round=0,
                 strategy=self.strategy,
                 global_loss=self.baseline_loss,
-                mean_client_loss=float(np.mean(self.baseline_client_losses)),
+                mean_client_loss=_mean_client_loss(self.baseline_loss, self.baseline_client_losses),
                 relative_noise=None,
                 params_up_total=0,
                 params_down_total=0,
@@ -127,7 +135,9 @@ class ExperimentReport:
                     round=metrics.round + 1,
                     strategy=metrics.strategy,
                     global_loss=metrics.global_eval_loss,
-                    mean_client_loss=float(np.mean(metrics.per_client_eval_loss)),
+                    mean_client_loss=_mean_client_loss(
+                        metrics.global_eval_loss, metrics.per_client_eval_loss
+                    ),
                     relative_noise=metrics.fedit_relative_noise,
                     params_up_total=metrics.params_up,
                     params_down_total=metrics.params_down,
@@ -152,8 +162,7 @@ class ComparisonReport:
 
 
 def _eval_base(base: BaseWeights, eval_set: EvalSet, loss: str) -> float:
-    value, _ = _loss_and_residual(eval_set.xs @ base.w.T, eval_set.ys, loss)
-    return value
+    return _loss(eval_set.xs @ base.w.T, _target_matrix(eval_set.ys, base.m, loss), loss)
 
 
 def _train_clients(
@@ -161,14 +170,18 @@ def _train_clients(
     train_cfg: TrainConfig,
     init_policy: InitPolicy,
     round_index: int,
-) -> list[LoraAdapter]:
-    """Fresh-init and locally train every client; returns adapters in client order."""
+) -> list[LoraAdapter | None]:
+    """Fresh-init and locally train every client; returns adapters in client order,
+    None for a client whose local SGD diverged."""
     adapters = []
     for client in clients:
         policy = replace(init_policy, seed=derive_seed(client.seed, round_index, _TAG_INIT))
         adapter = init_adapter(client.local_base.dim, client.rank, policy)
         cfg = replace(train_cfg, seed=derive_seed(client.seed, round_index, _TAG_TRAIN))
-        adapters.append(local_train(ToyModel(client.local_base, adapter), client.shard, cfg))
+        try:
+            adapters.append(local_train(ToyModel(client.local_base, adapter), client.shard, cfg))
+        except FloatingPointError:
+            adapters.append(None)
     return adapters
 
 
@@ -205,19 +218,34 @@ def run_round(
         raise ConfigError(
             [f"strategy: fedit requires homogeneous ranks, got {sorted(set(ranks))}"]
         )
+    if not clients:
+        raise ConfigError(["clients: a round needs at least one client"])
     dim = server.base.dim
     for client in clients:
         if client.local_base.dim != dim:
             raise ConfigError([f"clients: client {client.client_id} base shape differs from server"])
 
     adapters = _train_clients(clients, train_cfg, init_policy, server.round)
+    diverged = [c.client_id for c, adapter in zip(clients, adapters) if adapter is None]
+    if diverged:
+        raise DivergenceError(strategy, server.round + 1, diverged)
     if scaling_override is not None:
         weights = [scaling_override] * len(clients)
     else:
         weights = scaling_factors([c.shard for c in clients])
     updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
-    new_base, _ = apply_updates(server.base, updates, strategy)
+    try:
+        new_base, _ = apply_updates(server.base, updates, strategy)
+    except ValueError as exc:
+        # After the checks above the merge fails only on non-finite weights;
+        # the per-client updates are formed again only on this path.
+        diverged = [
+            c.client_id
+            for c, u in zip(clients, updates)
+            if not np.isfinite(adapter_delta(u.adapter)).all()
+        ]
+        raise DivergenceError(strategy, server.round + 1, diverged) from exc
     noise = None
     if strategy == "fedit":
         noise = fedit_noise(updates).relative_noise
@@ -233,6 +261,8 @@ def run_round(
     server.round += 1
 
     loss = _eval_base(new_base, eval_set, train_cfg.loss)
+    if not np.isfinite(loss):
+        raise DivergenceError(strategy, round_index + 1, [], "the held-out loss is not finite")
     return RoundMetrics(
         round=round_index,
         strategy=strategy,

@@ -17,6 +17,7 @@ from florasim import (
     aggregate_zero_padding,
     fedit_noise,
     oracle_delta,
+    scale_adapter,
     shuffled_stack,
     split_rank1,
     stack_adapters,
@@ -301,6 +302,31 @@ class TestShuffledStack:
         assert shuffled.rank == 160
         gap = np.abs(adapter_delta(shuffled) - adapter_delta(aggregate_flora(updates))).max()
         assert gap <= 1e-10
+
+
+class TestStackingFactorsMatchAdapterComposition:
+    """Stacking builds its factors directly; they must equal, byte for byte,
+    the composition of scale_adapter, split_rank1 and stack_adapters."""
+
+    def test_aggregate_flora(self):
+        gen = np.random.default_rng(46)
+        for k in [1] * 5 + [None] * 40:
+            updates = random_round(gen, k=k)
+            composed = stack_adapters([scale_adapter(u.adapter, u.weight) for u in updates])
+            stacked = aggregate_flora(updates)
+            assert stacked.a.tobytes() == composed.a.tobytes()
+            assert stacked.b.tobytes() == composed.b.tobytes()
+
+    def test_shuffled_stack(self):
+        gen = np.random.default_rng(47)
+        for k in [1] * 5 + [None] * 40:
+            updates = random_round(gen, k=k)
+            seed = int(gen.integers(0, 2**63))
+            pieces = [p for u in updates for p in split_rank1(scale_adapter(u.adapter, u.weight))]
+            composed = stack_adapters([pieces[i] for i in fisher_yates(len(pieces), seed)])
+            shuffled = shuffled_stack(updates, seed)
+            assert shuffled.a.tobytes() == composed.a.tobytes()
+            assert shuffled.b.tobytes() == composed.b.tobytes()
 
 
 class TestWeightedUpdate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from florasim import ConfigError, ExperimentConfig, read_report
@@ -181,6 +182,21 @@ class TestMain:
             ]
         )
         assert code == 2
+
+    def test_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            code = main(
+                [
+                    "compare",
+                    "--preset", "hetero",
+                    "--strategies", "flora,zero_padding",
+                    "--lr", "5000",
+                    "--out", str(tmp_path / "div.csv"),
+                ]
+            )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) " in err
 
     def test_determinism_of_compare_files(self, tmp_path):
         blobs = []

@@ -11,6 +11,7 @@ import florasim.simulation as simulation
 from florasim import (
     BaseWeights,
     ConfigError,
+    DivergenceError,
     ExperimentConfig,
     LoraAdapter,
     WeightedUpdate,
@@ -120,6 +121,11 @@ class TestRunRound:
         for client in clients:
             assert client.local_base.w.tobytes() == server.base.w.tobytes()
 
+    def test_empty_round_rejected(self):
+        server, _, eval_set = fresh_world(SMALL)
+        with pytest.raises(ConfigError):
+            run_round(server, [], "flora", TrainConfig(seed=0), eval_set)
+
     def test_fedit_rejects_mixed_ranks_before_training(self):
         config = with_overrides(SMALL, ranks=(1, 2, 3))
         server, clients, eval_set = fresh_world(config)
@@ -210,6 +216,51 @@ class TestRunExperiment:
         zero = LoraAdapter(a=np.zeros((1, config.n)), b=np.zeros((config.m, 1)))
         batch = Batch(eval_set.xs, eval_set.ys)
         assert evaluate(ToyModel(server.base, zero), batch) == report.baseline_loss
+
+    def test_mean_client_loss_is_global_loss_on_federated_rows(self):
+        # np.mean of ten or seven copies of a loss need not return that loss.
+        config = with_overrides(SMALL, client_fraction=0.7, clients=10, ranks=(2,) * 10, samples=400, rounds=4)
+        strategies = ["flora", "fedit", "zero_padding", "centralized", "standalone"]
+        comparison = compare_strategies(config, strategies)
+        for strategy in strategies:
+            report = comparison.reports[strategy]
+            rows = report.to_rows()
+            assert rows[0].mean_client_loss == rows[0].global_loss
+            for row, metrics in zip(rows[1:], report.rounds):
+                if strategy == "standalone":
+                    assert row.mean_client_loss == float(np.mean(metrics.per_client_eval_loss))
+                else:
+                    assert row.mean_client_loss == row.global_loss
+
+    @pytest.mark.parametrize(
+        "lr, where",
+        [
+            (3e4, "eval"),  # finite merged weights whose held-out loss overflows
+            (1e8, "merge"),  # finite factors whose updates b @ a overflow
+            (1e30, "train"),  # local SGD itself overflows
+        ],
+    )
+    def test_divergence_names_strategy_round_and_clients(self, lr, where):
+        config = with_overrides(SMALL, lr=lr, rounds=3)
+        for strategy in ("flora", "fedit", "zero_padding"):
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+                run_experiment(with_overrides(config, strategy=strategy))
+            exc = err.value
+            assert exc.strategy == strategy and 1 <= exc.round <= 3
+            assert str(exc).startswith(f"strategy {strategy} diverged in round {exc.round}: ")
+            if where == "eval":
+                assert exc.clients == [] and str(exc).endswith("the held-out loss is not finite")
+            else:
+                assert exc.clients and set(exc.clients) <= {0, 1, 2}
+                assert str(exc).endswith(
+                    "non-finite update b @ a from client(s) " + ", ".join(map(str, exc.clients))
+                )
+            assert isinstance(exc.__cause__, ValueError) == (where == "merge")
+
+    def test_divergence_of_the_merge_alone_names_no_client(self):
+        assert str(DivergenceError("fedit", 3, [])) == (
+            "strategy fedit diverged in round 3: the merged weights are not finite"
+        )
 
     def test_invalid_config_rejected_with_fields(self):
         bad = ExperimentConfig(clients=3, ranks=(1, 2), rounds=-1)

@@ -339,6 +339,67 @@ class TestLocalTrain:
         trained = local_train(model, shard, TrainConfig(learning_rate=0.01, batch_size=100, seed=6))
         assert trained.a.shape == model.adapter.a.shape
 
+    def test_diverged_factors_raise_floating_point_error(self):
+        gen = np.random.default_rng(45)
+        shard = ClientShard(client_id=0, xs=gen.normal(size=(40, 8)), ys=gen.normal(size=(40, 8)))
+        model = random_model(gen, 8, 8, 2)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            local_train(model, shard, TrainConfig(learning_rate=1e150, batch_size=4, seed=1))
+
+
+def reference_local_train(model, shard, cfg):
+    """The plain per-step loop: gather each batch from the shard, call
+    loss_and_grads, step both factors."""
+    a, b = np.array(model.adapter.a), np.array(model.adapter.b)
+    batch = min(cfg.batch_size, shard.size)
+    for epoch in range(cfg.local_epochs):
+        order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
+        for start in range(0, shard.size, batch):
+            idx = order[start : start + batch]
+            probe = ToyModel(model.base, LoraAdapter(a=a, b=b))
+            _, d_a, d_b = loss_and_grads(probe, Batch(shard.xs[idx], shard.ys[idx]), cfg.loss)
+            a -= cfg.learning_rate * d_a
+            b -= cfg.learning_rate * d_b
+    return a, b
+
+
+class TestLocalTrainMatchesPerStepReference:
+    """The chunked loop (hoisted x w^T, one gather per chunk) against the
+    per-step reference. Equal to a tolerance: whether a row of a larger GEMM
+    rounds like the same row of a smaller one depends on the BLAS build."""
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize(
+        "size, batch_size, dim",
+        [
+            (100, 32, 16),  # ragged last batch of 4
+            (5, 32, 16),  # shard smaller than the batch
+            (600, 7, 16),  # chunks of 252 rows, not aligned to 256
+            (600, 7, 64),
+            (300, 32, 64),
+        ],
+    )
+    def test_matches_reference(self, loss_kind, epochs, size, batch_size, dim):
+        gen = np.random.default_rng(size + 7 * batch_size + dim + epochs)
+        xs = gen.normal(size=(size, dim))
+        ys = xs @ gen.normal(scale=0.3, size=(dim, dim)).T
+        if loss_kind == "softmax-cross-entropy":
+            ys = np.argmax(ys, axis=1)
+        shard = ClientShard(client_id=0, xs=xs, ys=ys)
+        model = ToyModel(
+            BaseWeights(gen.normal(scale=0.3, size=(dim, dim))),
+            LoraAdapter(a=gen.normal(scale=0.1, size=(4, dim)), b=gen.normal(scale=0.1, size=(dim, 4))),
+        )
+        cfg = TrainConfig(
+            learning_rate=0.01, batch_size=batch_size, local_epochs=epochs, loss=loss_kind, seed=11
+        )
+        trained = local_train(model, shard, cfg)
+        ref_a, ref_b = reference_local_train(model, shard, cfg)
+        assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
+        assert np.abs(trained.a - ref_a).max() <= 1e-12 * np.abs(ref_a).max()
+        assert np.abs(trained.b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+
 
 class TestValidation:
     def test_train_config_rejects_bad_values(self):
