@@ -2,20 +2,26 @@
 
 One round: every client draws a fresh zero-update adapter, fine-tunes it on
 its shard, and uploads it; the server aggregates the uploads under the chosen
-strategy, merges the aggregate update into the global weights with
-coefficient one, and redistributes, leaving every client's local base equal
-to the new global weights. Redistribution is simulated by synchronizing the
-merged weights — numerically identical to shipping the stacked factors and
-multiplying locally — while the ledger charges the protocol-accurate stacked
-sizes, so communication totals match the real wire exchange.
+strategy and merges the aggregate update into the global weights with
+coefficient one. Redistribution is implicit: every client trains from the
+server's current base, which is numerically identical to shipping the
+stacked factors and multiplying locally, while the ledger charges the
+protocol-accurate stacked sizes, so communication totals match the real wire
+exchange.
 
-Clients train one after another in client order. Each client owns its
-arrays and all randomness is derived per (experiment seed, client, round),
-so a client's adapter does not depend on which clients trained before it.
+The standalone and centralized references run the same round: they train
+their carried adapters (one per client, or one on the pooled data) from the
+frozen initial base, and are charged, evaluated and reported by the same
+code as the federated strategies.
+
+Clients train one after another in client order. All randomness is derived
+per (experiment seed, client, round), so a client's adapter does not depend
+on which clients trained before it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,12 +65,14 @@ class ServerState:
 
 @dataclass
 class ClientRuntime:
-    """One simulated client: shard, rank, synchronized base, seed root."""
+    """One simulated client: shard, adapter rank and seed root.
+
+    A client holds no weights of its own; it trains from the server's base.
+    """
 
     client_id: int
     shard: ClientShard
     rank: int
-    local_base: BaseWeights
     seed: int
 
 
@@ -72,10 +80,11 @@ class ClientRuntime:
 class RoundMetrics:
     """Evaluation and traffic for one completed training round.
 
-    In a federated round every participant ends holding the redistributed
-    global weights, so each entry of per_client_eval_loss equals
-    global_eval_loss; it is evaluated once. Standalone clients keep their
-    own adapters and report distinct losses.
+    After a federated round every participant holds the merged global
+    weights, so each entry of per_client_eval_loss equals global_eval_loss;
+    it is evaluated once. Standalone clients keep their own adapters and
+    report distinct losses, whose mean is the global loss; centralized
+    reports its one pooled adapter's loss.
     """
 
     round: int
@@ -165,24 +174,45 @@ def _eval_base(base: BaseWeights, eval_set: EvalSet, loss: str) -> float:
     return _loss(eval_set.xs @ base.w.T, _target_matrix(eval_set.ys, base.m, loss), loss)
 
 
-def _train_clients(
-    clients: list[ClientRuntime],
+def _train(
+    server: ServerState,
+    strategy: str,
     train_cfg: TrainConfig,
-    init_policy: InitPolicy,
-    round_index: int,
-) -> list[LoraAdapter | None]:
-    """Fresh-init and locally train every client; returns adapters in client order,
-    None for a client whose local SGD diverged."""
-    adapters = []
-    for client in clients:
-        policy = replace(init_policy, seed=derive_seed(client.seed, round_index, _TAG_INIT))
-        adapter = init_adapter(client.local_base.dim, client.rank, policy)
-        cfg = replace(train_cfg, seed=derive_seed(client.seed, round_index, _TAG_TRAIN))
+    jobs: Iterable[tuple[int | None, ClientShard, LoraAdapter, int]],
+) -> list[LoraAdapter]:
+    """Locally train (client id, shard, starting adapter, seed) jobs from the
+    server's base, in order; the centralized reference's pooled job has no
+    client id. Raises DivergenceError naming every job whose local SGD diverged.
+    """
+    trained, diverged = [], []
+    for client_id, shard, adapter, seed in jobs:
+        cfg = replace(train_cfg, seed=seed)
         try:
-            adapters.append(local_train(ToyModel(client.local_base, adapter), client.shard, cfg))
+            trained.append(local_train(ToyModel(server.base, adapter), shard, cfg))
         except FloatingPointError:
-            adapters.append(None)
-    return adapters
+            diverged.append(client_id)
+    if diverged == [None]:
+        what = "local SGD of the pooled adapter diverged"
+        raise DivergenceError(strategy, server.round + 1, [], what)
+    if diverged:
+        raise DivergenceError(strategy, server.round + 1, diverged)
+    return trained
+
+
+def _close_round(
+    server: ServerState,
+    strategy: str,
+    loss: float,
+    client_losses: list[float],
+    noise: float | None,
+    traffic: tuple[int, int],
+) -> RoundMetrics:
+    """Advance the round counter and report the round just trained and charged."""
+    round_index = server.round
+    server.round += 1
+    if not np.isfinite(loss):
+        raise DivergenceError(strategy, round_index + 1, [], "the held-out loss is not finite")
+    return RoundMetrics(round_index, strategy, loss, client_losses, noise, *traffic)
 
 
 def apply_updates(
@@ -210,7 +240,7 @@ def run_round(
     init_policy: InitPolicy = InitPolicy(),
     scaling_override: float | None = None,
 ) -> RoundMetrics:
-    """Execute one synchronized federated round and return its metrics."""
+    """Execute one federated round and return its metrics."""
     if strategy not in FEDERATED_STRATEGIES:
         raise ConfigError([f"strategy: {strategy!r} cannot drive a federated round"])
     ranks = [c.rank for c in clients]
@@ -220,15 +250,19 @@ def run_round(
         )
     if not clients:
         raise ConfigError(["clients: a round needs at least one client"])
-    dim = server.base.dim
-    for client in clients:
-        if client.local_base.dim != dim:
-            raise ConfigError([f"clients: client {client.client_id} base shape differs from server"])
 
-    adapters = _train_clients(clients, train_cfg, init_policy, server.round)
-    diverged = [c.client_id for c, adapter in zip(clients, adapters) if adapter is None]
-    if diverged:
-        raise DivergenceError(strategy, server.round + 1, diverged)
+    t, dim = server.round, server.base.dim
+    # Generated lazily, so each fresh adapter is made just before its client trains.
+    jobs = (
+        (
+            c.client_id,
+            c.shard,
+            init_adapter(dim, c.rank, replace(init_policy, seed=derive_seed(c.seed, t, _TAG_INIT))),
+            derive_seed(c.seed, t, _TAG_TRAIN),
+        )
+        for c in clients
+    )
+    adapters = _train(server, strategy, train_cfg, jobs)
     if scaling_override is not None:
         weights = [scaling_override] * len(clients)
     else:
@@ -236,7 +270,7 @@ def run_round(
     updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
     try:
-        new_base, _ = apply_updates(server.base, updates, strategy)
+        server.base, _ = apply_updates(server.base, updates, strategy)
     except ValueError as exc:
         # After the checks above the merge fails only on non-finite weights;
         # the per-client updates are formed again only on this path.
@@ -245,33 +279,16 @@ def run_round(
             for c, u in zip(clients, updates)
             if not np.isfinite(adapter_delta(u.adapter)).all()
         ]
-        raise DivergenceError(strategy, server.round + 1, diverged) from exc
+        raise DivergenceError(strategy, t + 1, diverged) from exc
     noise = None
     if strategy == "fedit":
         noise = fedit_noise(updates).relative_noise
     elif strategy == "zero_padding":
         noise = fedit_noise(padded_updates(updates)).relative_noise
 
-    params_up, params_down = charge_round(server.ledger, strategy, dim, ranks, len(clients), server.round)
-
-    server.base = new_base
-    for client in clients:
-        client.local_base = new_base
-    round_index = server.round
-    server.round += 1
-
-    loss = _eval_base(new_base, eval_set, train_cfg.loss)
-    if not np.isfinite(loss):
-        raise DivergenceError(strategy, round_index + 1, [], "the held-out loss is not finite")
-    return RoundMetrics(
-        round=round_index,
-        strategy=strategy,
-        global_eval_loss=loss,
-        per_client_eval_loss=[loss] * len(clients),
-        fedit_relative_noise=noise,
-        params_up=params_up,
-        params_down=params_down,
-    )
+    traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
+    loss = _eval_base(server.base, eval_set, train_cfg.loss)
+    return _close_round(server, strategy, loss, [loss] * len(clients), noise, traffic)
 
 
 @dataclass(frozen=True)
@@ -304,21 +321,6 @@ def _build_world(config) -> _World:
     return _World(task.base, shards, eval_set, _eval_base(task.base, eval_set, config.loss))
 
 
-def _fresh_state(config, world: _World) -> tuple[ServerState, list[ClientRuntime]]:
-    """A new server and clients, all holding the world's initial base."""
-    clients = [
-        ClientRuntime(
-            client_id=i,
-            shard=world.shards[i],
-            rank=config.ranks[i],
-            local_base=world.base,
-            seed=derive_seed(config.seed, i),
-        )
-        for i in range(config.clients)
-    ]
-    return ServerState(base=world.base), clients
-
-
 def _participants(
     clients: list[ClientRuntime], fraction: float, seed: int, round_index: int
 ) -> list[ClientRuntime]:
@@ -337,9 +339,13 @@ def run_experiment(config) -> ExperimentReport:
 
 
 def _run(config, world: _World) -> ExperimentReport:
-    """All rounds of config.strategy on fresh state drawn from the world."""
-    server, clients = _fresh_state(config, world)
-    eval_set = world.eval_set
+    """All rounds of config.strategy on a new server and clients drawn from the world."""
+    server = ServerState(base=world.base)
+    clients = [
+        ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
+        for i in range(config.clients)
+    ]
+    strategy = config.strategy
     train_cfg = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
@@ -348,32 +354,52 @@ def _run(config, world: _World) -> ExperimentReport:
         seed=0,
     )
     init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std, seed=0)
+    dim = world.base.dim
+    # The references carry their adapters across rounds: standalone one per
+    # client, centralized one of the largest rank trained on the pooled data.
+    if strategy == "standalone":
+        adapters = [
+            init_adapter(dim, c.rank, replace(init_policy, seed=derive_seed(c.seed, 0, _TAG_INIT)))
+            for c in clients
+        ]
+    elif strategy == "centralized":
+        xs = np.concatenate([s.xs for s in world.shards])
+        pooled = ClientShard(0, xs, np.concatenate([s.ys for s in world.shards]))
+        seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
+        adapters = [init_adapter(dim, max(config.ranks), replace(init_policy, seed=seed))]
 
     rounds: list[RoundMetrics] = []
-    if config.strategy in FEDERATED_STRATEGIES:
-        for _ in range(config.rounds):
-            active = _participants(clients, config.client_fraction, config.seed, server.round)
-            metrics = run_round(
-                server,
-                active,
-                config.strategy,
-                train_cfg,
-                eval_set,
-                init_policy=init_policy,
-                scaling_override=config.scaling_override,
+    for t in range(config.rounds):
+        if strategy in FEDERATED_STRATEGIES:
+            active = _participants(clients, config.client_fraction, config.seed, t)
+            rounds.append(
+                run_round(
+                    server,
+                    active,
+                    strategy,
+                    train_cfg,
+                    world.eval_set,
+                    init_policy=init_policy,
+                    scaling_override=config.scaling_override,
+                )
             )
-            for client in clients:
-                client.local_base = server.base
-            rounds.append(metrics)
-    elif config.strategy == "standalone":
-        rounds = _run_standalone(server, clients, train_cfg, init_policy, eval_set, config)
-    elif config.strategy == "centralized":
-        rounds = _run_centralized(server, clients, train_cfg, init_policy, eval_set, config)
-    else:
-        raise ConfigError([f"strategy: unknown strategy {config.strategy!r}"])
+            continue
+        if strategy == "standalone":
+            jobs = [
+                (c.client_id, c.shard, adapter, derive_seed(c.seed, t, _TAG_TRAIN))
+                for c, adapter in zip(clients, adapters)
+            ]
+        else:
+            seed = derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN)
+            jobs = [(None, pooled, adapters[0], seed)]
+        adapters = _train(server, strategy, train_cfg, jobs)
+        traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
+        batch = Batch(world.eval_set.xs, world.eval_set.ys)
+        losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
+        rounds.append(_close_round(server, strategy, float(np.mean(losses)), losses, None, traffic))
 
     return ExperimentReport(
-        strategy=config.strategy,
+        strategy=strategy,
         seed=config.seed,
         baseline_loss=world.baseline,
         # Every client starts from the task's base, so each one's loss is the baseline.
@@ -381,98 +407,6 @@ def _run(config, world: _World) -> ExperimentReport:
         rounds=rounds,
         ledger=server.ledger,
     )
-
-
-def _run_standalone(
-    server: ServerState,
-    clients: list[ClientRuntime],
-    train_cfg: TrainConfig,
-    init_policy: InitPolicy,
-    eval_set: EvalSet,
-    config,
-) -> list[RoundMetrics]:
-    """Each client trains one adapter continuously; nothing is aggregated."""
-    adapters = {
-        c.client_id: init_adapter(
-            c.local_base.dim,
-            c.rank,
-            replace(init_policy, seed=derive_seed(c.seed, 0, _TAG_INIT)),
-        )
-        for c in clients
-    }
-    rounds = []
-    for t in range(config.rounds):
-        for client in clients:
-            cfg = replace(train_cfg, seed=derive_seed(client.seed, t, _TAG_TRAIN))
-            adapters[client.client_id] = local_train(
-                ToyModel(client.local_base, adapters[client.client_id]), client.shard, cfg
-            )
-        params_up, params_down = charge_round(
-            server.ledger, "standalone", server.base.dim, [c.rank for c in clients], len(clients), t
-        )
-        per_client = [
-            evaluate(
-                ToyModel(c.local_base, adapters[c.client_id]),
-                Batch(eval_set.xs, eval_set.ys),
-                config.loss,
-            )
-            for c in clients
-        ]
-        rounds.append(
-            RoundMetrics(
-                round=t,
-                strategy="standalone",
-                global_eval_loss=float(np.mean(per_client)),
-                per_client_eval_loss=per_client,
-                fedit_relative_noise=None,
-                params_up=params_up,
-                params_down=params_down,
-            )
-        )
-        server.round += 1
-    return rounds
-
-
-def _run_centralized(
-    server: ServerState,
-    clients: list[ClientRuntime],
-    train_cfg: TrainConfig,
-    init_policy: InitPolicy,
-    eval_set: EvalSet,
-    config,
-) -> list[RoundMetrics]:
-    """One adapter trained on the pooled data for rounds * epochs epochs."""
-    pooled = ClientShard(
-        client_id=0,
-        xs=np.concatenate([c.shard.xs for c in clients]),
-        ys=np.concatenate([c.shard.ys for c in clients]),
-    )
-    adapter = init_adapter(
-        server.base.dim,
-        max(c.rank for c in clients),
-        replace(init_policy, seed=derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)),
-    )
-    rounds = []
-    for t in range(config.rounds):
-        cfg = replace(train_cfg, seed=derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN))
-        adapter = local_train(ToyModel(server.base, adapter), pooled, cfg)
-        params_up, params_down = charge_round(
-            server.ledger, "centralized", server.base.dim, [c.rank for c in clients], len(clients), t
-        )
-        loss = evaluate(ToyModel(server.base, adapter), Batch(eval_set.xs, eval_set.ys), config.loss)
-        rounds.append(
-            RoundMetrics(
-                round=t,
-                strategy="centralized",
-                global_eval_loss=loss,
-                per_client_eval_loss=[loss],
-                fedit_relative_noise=None,
-                params_up=params_up,
-                params_down=params_down,
-            )
-        )
-        server.round += 1
-    return rounds
 
 
 def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
@@ -484,17 +418,7 @@ def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
     """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
-    problems = []
-    for strategy in strategies:
-        if strategy not in STRATEGIES:
-            problems.append(f"strategies: unknown strategy {strategy!r}")
-        elif strategy == "fedit" and len(set(config.ranks)) != 1:
-            problems.append("strategies: fedit requires homogeneous ranks")
-    if problems:
-        raise ConfigError(problems)
-    configs = [replace(config, strategy=strategy) for strategy in strategies]
-    for strategy_config in configs:
-        strategy_config.validate()
+    replace(config, strategies=tuple(strategies)).validate()
     world = _build_world(config)
-    reports = {c.strategy: _run(c, world) for c in configs}
+    reports = {s: _run(replace(config, strategy=s), world) for s in strategies}
     return ComparisonReport(seed=config.seed, strategies=tuple(strategies), reports=reports)

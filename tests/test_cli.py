@@ -198,6 +198,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) " in err
 
+    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
+    def test_reference_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys, strategy):
+        with np.errstate(all="ignore"):
+            code = main(
+                [
+                    "run",
+                    "--preset", "hetero",
+                    "--strategy", strategy,
+                    "--lr", "1e8",
+                    "--out", str(tmp_path / "div.csv"),
+                ]
+            )
+        assert code == 2
+        assert f"error: strategy {strategy} diverged in round 1: " in capsys.readouterr().err
+
     def test_determinism_of_compare_files(self, tmp_path):
         blobs = []
         for i in range(2):

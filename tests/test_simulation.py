@@ -1,4 +1,4 @@
-"""Round protocol: training, aggregation, merge, redistribution, reporting."""
+"""Round protocol: training, aggregation, merge, reporting, divergence."""
 
 from __future__ import annotations
 
@@ -24,16 +24,11 @@ from florasim import (
     run_round,
 )
 from florasim.comm import emit_rows
-from florasim.config import with_overrides
-from florasim.simulation import (
-    ClientRuntime,
-    ServerState,
-    _build_world,
-    _fresh_state,
-    _train_clients,
-)
-from florasim.lora import InitPolicy
-from florasim.training import Batch, ToyModel, TrainConfig, evaluate
+from florasim.config import parse_config, with_overrides
+from florasim.lora import InitPolicy, init_adapter
+from florasim.rng import derive_seed
+from florasim.simulation import _TAG_INIT, _TAG_TRAIN, ClientRuntime, ServerState, _build_world
+from florasim.training import Batch, ToyModel, TrainConfig, evaluate, local_train
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -50,9 +45,24 @@ SMALL = ExperimentConfig(
 
 
 def fresh_world(config):
+    """A new server and clients over the config's world, built as a run builds them."""
     world = _build_world(config)
-    server, clients = _fresh_state(config, world)
-    return server, clients, world.eval_set
+    clients = [
+        ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
+        for i in range(config.clients)
+    ]
+    return ServerState(base=world.base), clients, world.eval_set
+
+
+def first_round_uploads(server, clients, cfg, policy):
+    """Every client's round-0 upload, derived independently of run_round."""
+    uploads = []
+    for c in clients:
+        seeded = replace(policy, seed=derive_seed(c.seed, 0, _TAG_INIT))
+        adapter = init_adapter(server.base.dim, c.rank, seeded)
+        train_cfg = replace(cfg, seed=derive_seed(c.seed, 0, _TAG_TRAIN))
+        uploads.append(local_train(ToyModel(server.base, adapter), c.shard, train_cfg))
+    return uploads
 
 
 class TestRunRound:
@@ -80,7 +90,7 @@ class TestRunRound:
         cfg = TrainConfig(seed=0)
         policy = InitPolicy()
         # Reproduce the uploads through the same deterministic derivation.
-        adapters = _train_clients(clients, cfg, policy, round_index=0)
+        adapters = first_round_uploads(server, clients, cfg, policy)
         total = sum(c.shard.size for c in clients)
         updates = [
             WeightedUpdate(a, c.shard.size / total) for a, c in zip(adapters, clients)
@@ -94,7 +104,7 @@ class TestRunRound:
         server, clients, eval_set = fresh_world(SMALL)
         cfg = TrainConfig(seed=0)
         policy = InitPolicy()
-        adapters = _train_clients(clients, cfg, policy, round_index=0)
+        adapters = first_round_uploads(server, clients, cfg, policy)
         total = sum(c.shard.size for c in clients)
         updates = [
             WeightedUpdate(a, c.shard.size / total) for a, c in zip(adapters, clients)
@@ -114,12 +124,6 @@ class TestRunRound:
         merged, aggregate = apply_updates(base, updates, "flora")
         assert merged.w.tolist() == [[2.0, 2.0], [3.0, 6.0]]
         assert aggregate.rank == 2
-
-    def test_redistribution_synchronizes_clients(self):
-        server, clients, eval_set = fresh_world(SMALL)
-        run_round(server, clients, "flora", TrainConfig(seed=0), eval_set)
-        for client in clients:
-            assert client.local_base.w.tobytes() == server.base.w.tobytes()
 
     def test_empty_round_rejected(self):
         server, _, eval_set = fresh_world(SMALL)
@@ -145,7 +149,7 @@ class TestRunRound:
         server, clients, eval_set = fresh_world(SMALL)
         cfg = TrainConfig(seed=0)
         policy = InitPolicy()
-        adapters = _train_clients(clients, cfg, policy, round_index=0)
+        adapters = first_round_uploads(server, clients, cfg, policy)
         updates = [WeightedUpdate(a, 0.05) for a in adapters]
         expected = server.base.w + oracle_delta(updates)
         run_round(server, clients, "flora", cfg, eval_set, init_policy=policy, scaling_override=0.05)
@@ -257,6 +261,37 @@ class TestRunExperiment:
                 )
             assert isinstance(exc.__cause__, ValueError) == (where == "merge")
 
+    @pytest.mark.parametrize(
+        "strategy, lr, expected",
+        [
+            ("standalone", 3e4, "the held-out loss is not finite"),
+            ("standalone", 1e8, "clients"),  # local SGD of every client overflows
+            ("centralized", 3e4, "local SGD of the pooled adapter diverged"),
+            ("centralized", 1e8, "local SGD of the pooled adapter diverged"),
+        ],
+    )
+    def test_reference_divergence_names_strategy_and_round(self, strategy, lr, expected):
+        config = parse_config(preset="hetero", overrides={"strategy": strategy, "lr": str(lr)})
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_experiment(config)
+        exc = err.value
+        assert (exc.strategy, exc.round) == (strategy, 1)
+        assert str(exc).startswith(f"strategy {strategy} diverged in round 1: ")
+        if expected == "clients":
+            assert exc.clients and set(exc.clients) <= set(range(10))
+            assert str(exc).endswith(", ".join(map(str, exc.clients)))
+        else:
+            assert exc.clients == [] and str(exc).endswith(expected)
+
+    def test_centralized_non_finite_held_out_loss(self):
+        # At this rate the pooled adapter stays finite but its held-out loss overflows.
+        config = with_overrides(SMALL, strategy="centralized", lr=100.0)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            run_experiment(config)
+        assert str(err.value) == (
+            "strategy centralized diverged in round 1: the held-out loss is not finite"
+        )
+
     def test_divergence_of_the_merge_alone_names_no_client(self):
         assert str(DivergenceError("fedit", 3, [])) == (
             "strategy fedit diverged in round 3: the merged weights are not finite"
@@ -337,6 +372,15 @@ class TestCompare:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ConfigError):
             compare_strategies(SMALL, [])
+
+    def test_reports_every_strategy_problem_at_once(self):
+        mixed = with_overrides(SMALL, ranks=(1, 2, 3))
+        with pytest.raises(ConfigError) as err:
+            compare_strategies(mixed, ["warp", "fedit"])
+        problems = err.value.problems
+        assert len(problems) == 2
+        assert any("unknown strategy 'warp'" in p for p in problems)
+        assert any("fedit requires homogeneous ranks" in p for p in problems)
 
 
 class TestServerClientState:
