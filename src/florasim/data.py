@@ -2,9 +2,14 @@
 
 The global task is a linear teacher: targets are y = w_star x + noise, and
 the pre-trained base w sits a low-rank perturbation away from w_star, so a
-sufficiently ranked adapter can close the gap exactly. Partitioning assigns
-the generated samples to clients without modifying them — every skew is a
-biased assignment, so the union of shards is always exactly the sample set:
+sufficiently ranked adapter can close the gap exactly. The generated sample
+pool is the only copy of the data: its arrays are read-only, and a client
+shard is a list of row indices into them. Targets are formed in blocks of
+rows, so no full-size temporary sits beside the pool.
+
+Partitioning assigns the generated samples to clients without modifying or
+copying them — every skew is a biased assignment of rows, so the union of
+shards is always exactly the sample set:
 
 * iid: seeded random assignment, near-equal sizes.
 * feature-shift: samples are ordered by a noisy projection onto a seeded
@@ -24,7 +29,6 @@ assignment). A strength of 0 reduces every kind to iid exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +38,11 @@ SKEW_ATOMS = ("iid", "feature-shift", "size-skew", "label-skew")
 SKEW_KINDS = SKEW_ATOMS + ("feature-shift+size-skew",)
 
 _MASK64 = (1 << 64) - 1
+
+# Rows per block where a whole-pool operation is split up (gen_task's target
+# product and noise, argmax_labels), so its temporaries and BLAS workspace
+# are bounded by the block, not the pool.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -64,25 +73,38 @@ class GlobalTask:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's slice of the sample pool."""
+    """One client's samples: rows of a shared, read-only sample pool.
+
+    ``xs`` and ``ys`` are the whole pool, not a copy; the client's samples are
+    ``xs[rows]`` and ``ys[rows]``, in the order of ``rows``. ``rows`` defaults
+    to every row, so ``ClientShard(i, xs, ys)`` is a shard holding all of
+    ``xs`` and ``ys``.
+    """
 
     client_id: int
     xs: np.ndarray
     ys: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys)
-        if len(xs) < 1 or len(xs) != len(ys):
+        if len(xs) != len(ys):
+            raise ValueError("shard pool must hold as many inputs as targets")
+        rows = np.arange(len(xs)) if self.rows is None else np.asarray(self.rows, dtype=np.intp)
+        if rows.ndim != 1 or len(rows) < 1:
             raise ValueError("shard must hold at least one (x, y) pair")
-        xs.flags.writeable = False
-        ys.flags.writeable = False
+        if rows.min() < 0 or rows.max() >= len(xs):
+            raise ValueError(f"shard rows must index a pool of {len(xs)} samples")
+        for arr in (xs, ys, rows):
+            arr.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
-        return len(self.xs)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -127,11 +149,31 @@ def gen_task(
     ) / np.sqrt(teacher_rank * dim.n)
     teacher = w + gap
     xs = gen.normal(0.0, 1.0, size=(samples_total, dim.n))
-    ys = xs @ teacher.T
-    if noise_std > 0:
-        ys = ys + gen.normal(0.0, noise_std, size=(samples_total, dim.m))
+    ys = np.empty((samples_total, dim.m))
+    # A one-row block would go through gemv, whose sums may differ in the last
+    # bit from the full product's; a one-row tail joins the block before it.
+    starts = list(range(0, samples_total, _BLOCK_ROWS))
+    if len(starts) > 1 and samples_total - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [samples_total]):
+        block = ys[start:stop]
+        np.matmul(xs[start:stop], teacher.T, out=block)
+        if noise_std > 0:
+            # Consecutive draws continue one stream: the same noise as one full draw.
+            block += gen.normal(0.0, noise_std, size=block.shape)
     return GlobalTask(
         teacher=teacher, base=BaseWeights(w), noise_std=noise_std, seed=seed, xs=xs, ys=ys
+    )
+
+
+def argmax_labels(ys: np.ndarray) -> np.ndarray:
+    """Index of each target row's largest entry: np.argmax(ys, axis=1).
+
+    numpy's argmax copies a read-only input whole before reducing it, so a
+    pool's rows go through in blocks and only a block is ever copied.
+    """
+    return np.concatenate(
+        [np.argmax(ys[i : i + _BLOCK_ROWS], axis=1) for i in range(0, len(ys), _BLOCK_ROWS)]
     )
 
 
@@ -208,7 +250,7 @@ def _label_skew_shards(
     task: GlobalTask, k_clients: int, spec: SkewSpec, gen: np.random.Generator
 ) -> list[ClientShard]:
     """Dirichlet class concentration over argmax-of-target pseudo-labels."""
-    labels = np.argmax(task.ys, axis=1)
+    labels = argmax_labels(task.ys)
     alpha = 1.0 / spec.strength
     assigned: list[list[int]] = [[] for _ in range(k_clients)]
     for cls in np.unique(labels):
@@ -228,16 +270,16 @@ def _label_skew_shards(
         while not assigned[client]:
             donor = max(range(k_clients), key=lambda c: len(assigned[c]))
             assigned[client].append(assigned[donor].pop())
-    # Stable per-shard ordering so shard bytes do not depend on steal order.
-    rows = [np.sort(np.asarray(idx, dtype=np.int64)) for idx in assigned]
-    return [
-        ClientShard(client_id=i, xs=task.xs[idx], ys=task.ys[idx])
-        for i, idx in enumerate(rows)
-    ]
+    # Stable per-shard ordering so shard rows do not depend on steal order.
+    rows = [np.sort(np.asarray(idx, dtype=np.intp)) for idx in assigned]
+    return [ClientShard(i, task.xs, task.ys, idx) for i, idx in enumerate(rows)]
 
 
 def partition(task: GlobalTask, k_clients: int, spec: SkewSpec) -> list[ClientShard]:
-    """Assign every sample of the task to exactly one of k_clients shards."""
+    """Assign every sample of the task to exactly one of k_clients shards.
+
+    Each shard holds the task's own arrays and its rows; nothing is copied.
+    """
     if k_clients < 1:
         raise ValueError(f"k_clients must be >= 1, got {k_clients}")
     if task.size < k_clients:
@@ -251,8 +293,8 @@ def partition(task: GlobalTask, k_clients: int, spec: SkewSpec) -> list[ClientSh
     shards = []
     start = 0
     for client, size in enumerate(sizes):
-        idx = order[start : start + size]
-        shards.append(ClientShard(client_id=client, xs=task.xs[idx], ys=task.ys[idx]))
+        rows = order[start : start + size]
+        shards.append(ClientShard(client_id=client, xs=task.xs, ys=task.ys, rows=rows))
         start += size
     return shards
 
@@ -264,45 +306,3 @@ def scaling_factors(shards: list[ClientShard]) -> list[float]:
     total = sum(s.size for s in shards)
     return [s.size / total for s in shards]
 
-
-def export_shards(shards: list[ClientShard], path: str | Path) -> None:
-    """Write shards as text, one sample per line: client_id, x..., y...."""
-    shards = list(shards)
-    if not shards:
-        raise ValueError("no shards to export")
-    if shards[0].ys.ndim != 2:
-        raise ValueError("only dense vector targets are exportable")
-    n = shards[0].xs.shape[1]
-    m = shards[0].ys.shape[1]
-    lines = [f"# florasim-shards v1 n={n} m={m}"]
-    for shard in shards:
-        for x, y in zip(shard.xs, shard.ys):
-            fields = [str(shard.client_id)]
-            fields += [format(v, ".17g") for v in x]
-            fields += [format(v, ".17g") for v in y]
-            lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def import_shards(path: str | Path) -> list[ClientShard]:
-    """Inverse of export_shards; shards come back ordered by client_id."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not text or not text[0].startswith("# florasim-shards v1"):
-        raise ValueError(f"{path}: not a shard export file")
-    header = text[0].split()
-    n = int(header[3].split("=")[1])
-    m = int(header[4].split("=")[1])
-    by_client: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
-    for line in text[1:]:
-        fields = line.split(",")
-        client = int(fields[0])
-        values = [float(v) for v in fields[1:]]
-        if len(values) != n + m:
-            raise ValueError(f"{path}: expected {n + m} values per sample, got {len(values)}")
-        xs, ys = by_client.setdefault(client, ([], []))
-        xs.append(values[:n])
-        ys.append(values[n:])
-    return [
-        ClientShard(client_id=client, xs=np.array(xs), ys=np.array(ys))
-        for client, (xs, ys) in sorted(by_client.items())
-    ]

@@ -11,7 +11,7 @@ is the aggregation primitive everything else here builds on; it places no
 constraint on the individual ranks.
 
 All values are immutable after construction and every operation is a pure
-function, so the module is safe to use from multiple threads.
+function.
 """
 
 from __future__ import annotations

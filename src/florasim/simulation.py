@@ -35,7 +35,16 @@ from .aggregation import (
     padded_updates,
 )
 from .comm import CommLedger, ReportRow, charge_round
-from .data import ClientShard, EvalSet, SkewSpec, gen_task, holdout_split, partition, scaling_factors
+from .data import (
+    ClientShard,
+    EvalSet,
+    SkewSpec,
+    argmax_labels,
+    gen_task,
+    holdout_split,
+    partition,
+    scaling_factors,
+)
 from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
@@ -52,6 +61,10 @@ _TAG_TRAIN = 1
 _TAG_PARTITION = 2
 _TAG_CENTRAL = 3
 _TAG_SAMPLING = 4
+
+# A round's numpy floating-point warnings are silenced: divergence raises
+# DivergenceError, which names the strategy, round and clients.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass
@@ -262,32 +275,32 @@ def run_round(
         )
         for c in clients
     )
-    adapters = _train(server, strategy, train_cfg, jobs)
-    if scaling_override is not None:
-        weights = [scaling_override] * len(clients)
-    else:
-        weights = scaling_factors([c.shard for c in clients])
-    updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
+    with np.errstate(**_QUIET):
+        adapters = _train(server, strategy, train_cfg, jobs)
+        if scaling_override is not None:
+            weights = [scaling_override] * len(clients)
+        else:
+            weights = scaling_factors([c.shard for c in clients])
+        updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
-    try:
-        server.base, _ = apply_updates(server.base, updates, strategy)
-    except ValueError as exc:
-        # After the checks above the merge fails only on non-finite weights;
-        # the per-client updates are formed again only on this path.
-        diverged = [
-            c.client_id
-            for c, u in zip(clients, updates)
-            if not np.isfinite(adapter_delta(u.adapter)).all()
-        ]
-        raise DivergenceError(strategy, t + 1, diverged) from exc
-    noise = None
-    if strategy == "fedit":
-        noise = fedit_noise(updates).relative_noise
-    elif strategy == "zero_padding":
-        noise = fedit_noise(padded_updates(updates)).relative_noise
-
+        try:
+            server.base, _ = apply_updates(server.base, updates, strategy)
+        except ValueError as exc:
+            # After the checks above the merge fails only on non-finite weights;
+            # the per-client updates are formed again only on this path.
+            diverged = [
+                c.client_id
+                for c, u in zip(clients, updates)
+                if not np.isfinite(adapter_delta(u.adapter)).all()
+            ]
+            raise DivergenceError(strategy, t + 1, diverged) from exc
+        noise = None
+        if strategy == "fedit":
+            noise = fedit_noise(updates).relative_noise
+        elif strategy == "zero_padding":
+            noise = fedit_noise(padded_updates(updates)).relative_noise
+        loss = _eval_base(server.base, eval_set, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
-    loss = _eval_base(server.base, eval_set, train_cfg.loss)
     return _close_round(server, strategy, loss, [loss] * len(clients), noise, traffic)
 
 
@@ -314,10 +327,9 @@ def _build_world(config) -> _World:
     spec = SkewSpec(config.skew, config.skew_strength, derive_seed(config.seed, _TAG_PARTITION))
     shards = partition(train_task, config.clients, spec)
     if config.loss == "softmax-cross-entropy":
-        shards = [
-            ClientShard(s.client_id, s.xs, np.argmax(s.ys, axis=1)) for s in shards
-        ]
-        eval_set = EvalSet(eval_set.xs, np.argmax(eval_set.ys, axis=1))
+        labels = argmax_labels(train_task.ys)
+        shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
+        eval_set = EvalSet(eval_set.xs, argmax_labels(eval_set.ys))
     return _World(task.base, shards, eval_set, _eval_base(task.base, eval_set, config.loss))
 
 
@@ -363,8 +375,10 @@ def _run(config, world: _World) -> ExperimentReport:
             for c in clients
         ]
     elif strategy == "centralized":
-        xs = np.concatenate([s.xs for s in world.shards])
-        pooled = ClientShard(0, xs, np.concatenate([s.ys for s in world.shards]))
+        # Every shard indexes the one training pool; the pooled shard takes
+        # their rows in client order.
+        pool = world.shards[0]
+        pooled = ClientShard(0, pool.xs, pool.ys, np.concatenate([s.rows for s in world.shards]))
         seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
         adapters = [init_adapter(dim, max(config.ranks), replace(init_policy, seed=seed))]
 
@@ -392,10 +406,11 @@ def _run(config, world: _World) -> ExperimentReport:
         else:
             seed = derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN)
             jobs = [(None, pooled, adapters[0], seed)]
-        adapters = _train(server, strategy, train_cfg, jobs)
+        with np.errstate(**_QUIET):
+            adapters = _train(server, strategy, train_cfg, jobs)
+            batch = Batch(world.eval_set.xs, world.eval_set.ys)
+            losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
         traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
-        batch = Batch(world.eval_set.xs, world.eval_set.ys)
-        losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
         rounds.append(_close_round(server, strategy, float(np.mean(losses)), losses, None, traffic))
 
     return ExperimentReport(

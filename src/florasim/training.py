@@ -21,17 +21,18 @@ then exactly factor - lr * gradient, which keeps oracle tests tight.
 The frozen base product x w^T does not change during a local pass, so
 ``local_train`` does not recompute it per step. It walks each epoch's
 shuffled order in chunks of whole batches, about 256 rows: per chunk it
-gathers the inputs and the targets once and forms x w^T in one GEMM; each
-step then slices contiguous rows and computes only x a^T, the residual and
-the gradients. The chunk is bounded, not the whole shard, because the
-hoisted rows stay in memory: in a 10-client m=n=256 comparison with
-1600-row shards, hoisting whole shards peaked about 3% higher (242 MB)
-than 256-row chunks (235 MB). Targets enter as one float matrix (the
-values, or one-hot rows for softmax) built once per call, so a step
-gathers and indexes nothing. The loss is computed only where it is
-reported (``loss_and_grads``, ``evaluate``). ``loss_and_grads`` shares the
-residual and the gradient expression with the SGD steps, so the
-finite-difference tests guard the training path.
+gathers the inputs and the targets once from the shared sample pool,
+through the shard's rows (``shard.rows[perm]``), and forms x w^T in one
+GEMM; each step then slices contiguous rows and computes only x a^T, the
+residual and the gradients. The chunk is bounded, not the whole shard,
+because the gathered rows stay in memory: in a 10-client m=n=256
+comparison with 1600-row shards, hoisting whole shards peaked about 3%
+higher (242 MB) than 256-row chunks (235 MB). A chunk's targets are one
+float matrix (the values, or one-hot rows for softmax), so a step gathers
+and indexes nothing. The loss is computed only where it is reported
+(``loss_and_grads``, ``evaluate``). ``loss_and_grads`` shares the residual
+and the gradient expression with the SGD steps, so the finite-difference
+tests guard the training path.
 """
 
 from __future__ import annotations
@@ -199,12 +200,13 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
     lr = cfg.learning_rate
     batch = min(cfg.batch_size, shard.size)
     chunk = max(1, _CHUNK_ROWS // batch) * batch
-    targets = _target_matrix(shard.ys, model.base.m, cfg.loss)
     for epoch in range(cfg.local_epochs):
         order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
+        rows = shard.rows[order]
         for chunk_start in range(0, shard.size, chunk):
-            idx = order[chunk_start : chunk_start + chunk]
-            xs, ts = shard.xs[idx], targets[idx]
+            idx = rows[chunk_start : chunk_start + chunk]
+            xs = shard.xs[idx]
+            ts = _target_matrix(shard.ys[idx], model.base.m, cfg.loss)
             base_ys = xs @ w.T
             for start in range(0, len(idx), batch):
                 x = xs[start : start + batch]

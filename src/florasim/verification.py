@@ -26,7 +26,6 @@ from .aggregation import (
 )
 from .comm import CommLedger, charge_round, emit_rows
 from .config import ExperimentConfig, with_overrides
-from .data import ClientShard
 from .lora import BaseWeights, Dim, LoraAdapter, adapter_delta, trainable_fraction
 from .rng import derive_seed
 from .simulation import compare_strategies

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import florasim
 from florasim import ConfigError, ExperimentConfig, read_report
 from florasim.cli import main
 from florasim.config import config_to_text, parse_config, read_config_text
@@ -197,6 +201,22 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) " in err
+
+    def test_divergence_prints_only_the_error_line(self, tmp_path):
+        # A fresh interpreter, so numpy warnings reach stderr as a user sees them.
+        argv = ["compare", "--preset", "hetero", "--strategies", "flora,zero_padding",
+                "--lr", "5000", "--out", str(tmp_path / "div.csv")]
+        done = subprocess.run(
+            [sys.executable, "-m", "florasim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(florasim.__file__).parents[1])},
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) "
+            "0, 1, 2, 3, 4, 5, 6, 7, 8, 9"
+        ]
 
     @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
     def test_reference_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys, strategy):

@@ -1,6 +1,8 @@
-"""Task generation, non-IID partitioning, scaling factors, shard export."""
+"""Task generation, non-IID partitioning and scaling factors."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,20 +10,32 @@ import pytest
 from florasim import (
     ClientShard,
     Dim,
+    ExperimentConfig,
     SkewSpec,
-    export_shards,
     gen_task,
     holdout_split,
-    import_shards,
     partition,
     scaling_factors,
 )
+from florasim.data import argmax_labels
+from florasim.simulation import _build_world
 
 DIM = Dim(16, 16)
+ALL_KINDS = [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
+             ("feature-shift+size-skew", 1.0)]
 
 
 def sample_keys(xs):
     return {row.tobytes() for row in np.asarray(xs)}
+
+
+def shard_xs(shard):
+    """The shard's own inputs, gathered from the pool it indexes."""
+    return shard.xs[shard.rows]
+
+
+def shard_ys(shard):
+    return shard.ys[shard.rows]
 
 
 class TestGenTask:
@@ -50,6 +64,21 @@ class TestGenTask:
         noisy = gen_task(DIM, 100, 0.5, seed=14)
         assert np.array_equal(clean.xs, noisy.xs)
         assert not np.array_equal(clean.ys, noisy.ys)
+
+    @pytest.mark.parametrize("dim", [Dim(16, 16), Dim(64, 48), Dim(256, 256)])
+    @pytest.mark.parametrize("samples", [255, 256, 257, 513, 1025])
+    def test_row_blocks_equal_the_one_shot_product(self, dim, samples):
+        task = gen_task(dim, samples, 0.3, seed=31)
+        # Replay gen_task's draws, then draw the whole noise matrix at once.
+        gen = np.random.default_rng(31)
+        gen.normal(size=(dim.m, dim.n))
+        gen.normal(size=(dim.m, 4))
+        gen.normal(size=(4, dim.n))
+        assert gen.normal(size=(samples, dim.n)).tobytes() == task.xs.tobytes()
+        noise = gen.normal(0.0, 0.3, size=(samples, dim.m))
+        assert task.ys.tobytes() == (task.xs @ task.teacher.T + noise).tobytes()
+        clean = gen_task(dim, samples, 0.0, seed=31)
+        assert clean.ys.tobytes() == (clean.xs @ clean.teacher.T).tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -83,22 +112,29 @@ class TestPartition:
         shards = partition(task, 10, SkewSpec("iid", 0.0, 1))
         assert [s.size for s in shards] == [100] * 10
 
-    @pytest.mark.parametrize(
-        "kind,strength",
-        [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
-         ("feature-shift+size-skew", 1.0)],
-    )
+    @pytest.mark.parametrize("kind,strength", ALL_KINDS)
     def test_exact_cover_no_duplicates(self, kind, strength):
         task = gen_task(DIM, 500, 0.0, seed=17)
         shards = partition(task, 7, SkewSpec(kind, strength, 2))
         assert sum(s.size for s in shards) == 500
         union = set()
         for shard in shards:
-            keys = sample_keys(shard.xs)
+            keys = sample_keys(shard_xs(shard))
             assert len(keys) == shard.size
             assert union.isdisjoint(keys)
             union |= keys
         assert union == sample_keys(task.xs)
+
+    @pytest.mark.parametrize("kind,strength", ALL_KINDS)
+    def test_shards_index_the_task_pool(self, kind, strength):
+        task = gen_task(DIM, 500, 0.0, seed=17)
+        shards = partition(task, 7, SkewSpec(kind, strength, 2))
+        for shard in shards:
+            assert np.shares_memory(shard.xs, task.xs)
+            assert np.shares_memory(shard.ys, task.ys)
+            assert not shard.xs.flags.writeable and not shard.rows.flags.writeable
+        rows = np.concatenate([s.rows for s in shards])
+        assert np.array_equal(np.sort(rows), np.arange(task.size))
 
     def test_size_skew_ratio_exceeds_three(self):
         task = gen_task(DIM, 1000, 0.0, seed=18)
@@ -110,7 +146,7 @@ class TestPartition:
         task = gen_task(DIM, 1000, 0.0, seed=19)
 
         def spread(shards):
-            means = np.array([s.xs.mean(axis=0) for s in shards])
+            means = np.array([shard_xs(s).mean(axis=0) for s in shards])
             return max(
                 np.linalg.norm(means[i] - means[j])
                 for i in range(len(means))
@@ -127,7 +163,7 @@ class TestPartition:
         def top_share(shards):
             shares = []
             for s in shards:
-                labels = np.argmax(s.ys, axis=1)
+                labels = np.argmax(shard_ys(s), axis=1)
                 shares.append(np.bincount(labels, minlength=16).max() / s.size)
             return float(np.mean(shares))
 
@@ -141,15 +177,19 @@ class TestPartition:
         base = partition(task, 6, SkewSpec("iid", 0.0, 9))
         other = partition(task, 6, SkewSpec(kind, 0.0, 9))
         for lhs, rhs in zip(base, other):
-            assert lhs.xs.tobytes() == rhs.xs.tobytes()
-            assert lhs.ys.tobytes() == rhs.ys.tobytes()
+            assert lhs.rows.tobytes() == rhs.rows.tobytes()
+            assert shard_xs(lhs).tobytes() == shard_xs(rhs).tobytes()
+            assert shard_ys(lhs).tobytes() == shard_ys(rhs).tobytes()
 
     def test_deterministic_per_seed(self):
         task = gen_task(DIM, 300, 0.0, seed=22)
         first = partition(task, 5, SkewSpec("feature-shift", 0.8, 4))
         second = partition(task, 5, SkewSpec("feature-shift", 0.8, 4))
         for lhs, rhs in zip(first, second):
-            assert lhs.xs.tobytes() == rhs.xs.tobytes()
+            assert lhs.rows.tobytes() == rhs.rows.tobytes()
+        # A shard's rows differ from another seed's, so the check above is not vacuous.
+        other = partition(task, 5, SkewSpec("feature-shift", 0.8, 5))
+        assert first[0].rows.tobytes() != other[0].rows.tobytes()
 
     def test_rejects_too_few_samples(self):
         task = gen_task(DIM, 3, 0.0, seed=23)
@@ -194,28 +234,46 @@ class TestScalingFactors:
             scaling_factors([])
 
 
-class TestShardExport:
-    def test_round_trip_is_exact(self, tmp_path):
-        task = gen_task(DIM, 120, 0.01, seed=25)
-        shards = partition(task, 4, SkewSpec("size-skew", 1.0, 5))
-        path = tmp_path / "shards.txt"
-        export_shards(shards, path)
-        loaded = import_shards(path)
-        assert len(loaded) == len(shards)
-        for lhs, rhs in zip(shards, loaded):
-            assert lhs.client_id == rhs.client_id
-            assert lhs.xs.tobytes() == rhs.xs.tobytes()
-            assert lhs.ys.tobytes() == rhs.ys.tobytes()
 
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a shard file\n")
+class TestClientShard:
+    def test_rows_default_to_the_whole_pool(self):
+        xs, ys = np.ones((5, 2)), np.zeros((5, 3))
+        shard = ClientShard(3, xs, ys)
+        assert shard.size == 5
+        assert np.array_equal(shard.rows, np.arange(5))
+
+    def test_rejects_rows_outside_the_pool(self):
+        xs, ys = np.ones((5, 2)), np.zeros((5, 3))
+        for rows in ([], [0, 5], [-1], [[0, 1]]):
+            with pytest.raises(ValueError):
+                ClientShard(0, xs, ys, np.array(rows, dtype=np.int64))
         with pytest.raises(ValueError):
-            import_shards(path)
+            ClientShard(0, xs, ys[:4])
 
-    @pytest.mark.parametrize("text", ["", " \n\n"])
-    def test_rejects_empty_or_blank_file(self, tmp_path, text):
-        path = tmp_path / "empty.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="not a shard export file"):
-            import_shards(path)
+
+class TestWorldMemory:
+    @pytest.mark.parametrize("loss", ["squared-error", "softmax-cross-entropy"])
+    def test_building_a_world_copies_no_sample_pool(self, loss):
+        config = ExperimentConfig(m=64, n=64, samples=20_000, loss=loss, skew="label-skew",
+                                  skew_strength=3.0)
+        pool_bytes = 2 * config.samples * 64 * 8
+        tracemalloc.start()
+        try:
+            world = _build_world(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert world.shards[0].size > 0
+        assert peak <= 1.5 * pool_bytes, peak / pool_bytes
+
+    def test_labels_of_a_read_only_pool_copy_no_pool(self):
+        ys = np.random.default_rng(32).normal(size=(20_000, 64))
+        ys.flags.writeable = False
+        tracemalloc.start()
+        try:
+            labels = argmax_labels(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, np.argmax(ys, axis=1))
+        assert peak <= 0.1 * ys.nbytes, peak / ys.nbytes

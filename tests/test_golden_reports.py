@@ -20,13 +20,27 @@ from florasim.cli import main
 REPORTS = Path(__file__).parent / "data" / "reports"
 ALL = "flora,fedit,zero_padding,standalone,centralized"
 SOFTMAX = ["--loss", "softmax-cross-entropy"]
+REFS = "flora,zero_padding,standalone,centralized"
+LR01 = ["--lr", "0.1", "--rounds", "10"]
 
 CASES = {
     "homo16_squared_error.csv": (["--preset", "homo16", "--strategies", ALL], None),
     "homo16_softmax.csv": (["--preset", "homo16", "--strategies", ALL, *SOFTMAX], None),
     "hetero_fraction0.3_softmax.csv": (
-        ["--preset", "hetero", "--strategies", "flora,zero_padding,standalone,centralized", *SOFTMAX],
+        ["--preset", "hetero", "--strategies", REFS, *SOFTMAX],
         "client_fraction = 0.3\n",
+    ),
+    # Non-iid partitions at a learning rate and round count where batch order
+    # shows in the loss, so a shifted or swapped seed misses the tolerance.
+    "hetero_label_skew3_lr0.1_squared_error.csv": (
+        ["--preset", "hetero", "--strategies", REFS, *LR01, "--skew", "label-skew",
+         "--skew-strength", "3.0"],
+        None,
+    ),
+    "hetero_feature_size_skew1_lr0.1_softmax.csv": (
+        ["--preset", "hetero", "--strategies", REFS, *LR01, "--skew", "feature-shift+size-skew",
+         "--skew-strength", "1.0", *SOFTMAX],
+        None,
     ),
 }
 

@@ -310,8 +310,28 @@ class TestCompare:
         _, clients_a, _ = fresh_world(SMALL)
         _, clients_b, _ = fresh_world(SMALL)
         for lhs, rhs in zip(clients_a, clients_b):
-            assert lhs.shard.xs.tobytes() == rhs.shard.xs.tobytes()
-            assert lhs.shard.ys.tobytes() == rhs.shard.ys.tobytes()
+            a, b = lhs.shard, rhs.shard
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert a.xs[a.rows].tobytes() == b.xs[b.rows].tobytes()
+            assert a.ys[a.rows].tobytes() == b.ys[b.rows].tobytes()
+
+    @pytest.mark.parametrize("loss", ["squared-error", "softmax-cross-entropy"])
+    def test_centralized_pools_the_shards_rows(self, monkeypatch, loss):
+        trained = []
+
+        def recording(model, shard, cfg):
+            trained.append(shard)
+            return local_train(model, shard, cfg)
+
+        monkeypatch.setattr(simulation, "local_train", recording)
+        config = replace(SMALL, strategy="centralized", loss=loss, skew="size-skew", skew_strength=1.0)
+        world = _build_world(config)
+        simulation._run(config, world)
+        assert len(trained) == config.rounds
+        pooled = trained[0]
+        for shard in world.shards:
+            assert np.shares_memory(pooled.xs, shard.xs) and np.shares_memory(pooled.ys, shard.ys)
+        assert np.array_equal(pooled.rows, np.concatenate([s.rows for s in world.shards]))
 
     def test_homogeneous_flora_beats_fedit_smoke(self):
         config = ExperimentConfig(

@@ -274,6 +274,21 @@ class TestLocalTrain:
         teacher = gen.normal(size=(m, n))
         return ClientShard(client_id=0, xs=xs, ys=xs @ teacher.T)
 
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_row_indexed_shard_trains_like_its_copied_rows(self, loss_kind):
+        gen = np.random.default_rng(33)
+        pool = self.shard(gen, count=900, n=16, m=16)
+        ys = pool.ys if loss_kind == "squared-error" else np.argmax(pool.ys, axis=1)
+        rows = gen.permutation(900)[:611]
+        indexed = ClientShard(0, pool.xs, ys, rows)
+        copied = ClientShard(0, pool.xs[rows], ys[rows])
+        model = random_model(gen, 16, 16, 4)
+        cfg = TrainConfig(learning_rate=0.002, batch_size=7, local_epochs=2, loss=loss_kind, seed=3)
+        lhs, rhs = local_train(model, indexed, cfg), local_train(model, copied, cfg)
+        assert lhs.a.tobytes() == rhs.a.tobytes()
+        assert lhs.b.tobytes() == rhs.b.tobytes()
+        assert not np.array_equal(lhs.a, model.adapter.a)
+
     def test_zero_learning_rate_is_bit_identical(self):
         gen = np.random.default_rng(34)
         shard = self.shard(gen)
