@@ -20,12 +20,10 @@ from .aggregation import (
 from .comm import (
     CommEvent,
     CommLedger,
-    CommSummary,
     ReportRow,
     charge_round,
     emit_report,
     read_report,
-    summarize,
 )
 from .config import ExperimentConfig, PRESETS, config_to_text, parse_config
 from .data import (
@@ -46,24 +44,19 @@ from .lora import (
     LoraAdapter,
     adapter_delta,
     init_adapter,
-    merge_into_base,
-    scale_adapter,
-    split_rank1,
-    stack_adapters,
     trainable_fraction,
 )
 from .simulation import (
     ClientRuntime,
     ComparisonReport,
     ExperimentReport,
-    RoundMetrics,
     ServerState,
     apply_updates,
     compare_strategies,
     run_experiment,
     run_round,
 )
-from .training import Batch, ToyModel, TrainConfig, evaluate, forward, local_train, loss_and_grads
+from .training import Batch, ToyModel, TrainConfig, evaluate, local_train, loss_and_grads
 
 __version__ = "0.1.0"
 
@@ -74,7 +67,6 @@ __all__ = [
     "ClientShard",
     "CommEvent",
     "CommLedger",
-    "CommSummary",
     "ComparisonReport",
     "ConfigError",
     "Dim",
@@ -89,7 +81,6 @@ __all__ = [
     "NoiseReport",
     "PRESETS",
     "ReportRow",
-    "RoundMetrics",
     "ServerState",
     "SkewSpec",
     "ToyModel",
@@ -106,13 +97,11 @@ __all__ = [
     "emit_report",
     "evaluate",
     "fedit_noise",
-    "forward",
     "gen_task",
     "holdout_split",
     "init_adapter",
     "local_train",
     "loss_and_grads",
-    "merge_into_base",
     "oracle_delta",
     "padded_updates",
     "parse_config",
@@ -120,11 +109,7 @@ __all__ = [
     "read_report",
     "run_experiment",
     "run_round",
-    "scale_adapter",
     "scaling_factors",
     "shuffled_stack",
-    "split_rank1",
-    "stack_adapters",
-    "summarize",
     "trainable_fraction",
 ]

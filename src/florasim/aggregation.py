@@ -89,8 +89,9 @@ def aggregate_flora(updates: list[WeightedUpdate]) -> LoraAdapter:
 def _stacked_factors(updates: list[WeightedUpdate]) -> tuple[np.ndarray, np.ndarray]:
     """The stacked (a, b): weight-scaled a factors row-wise, b factors column-wise.
 
-    Bit-identical to stacking ``scale_adapter(u.adapter, u.weight)`` for every
-    update, without building the scaled adapters.
+    The weight scales the a side only, so the product b @ (weight a) carries
+    it exactly once; scaling both factors would square it. No scaled adapter
+    is built per update.
     """
     _check_round(updates)
     return (
@@ -203,7 +204,7 @@ def shuffled_stack(updates: list[WeightedUpdate], seed: int) -> LoraAdapter:
 
     The rank-1 pieces of the stacked adapter (row i of a with column i of b)
     are permuted uniformly (seeded Fisher-Yates, see ``rng``): the same
-    factors as splitting every scaled adapter with ``split_rank1`` and
+    factors as splitting every scaled adapter into its rank-1 pieces and
     stacking the permuted pieces. The resulting update is identical to
     ``aggregate_flora`` — a sum of rank-1 terms is order-independent — but
     the row/column layout no longer reveals which contiguous block came from

@@ -62,30 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = (
-    "strategy",
-    "strategies",
-    "clients",
-    "ranks",
-    "rounds",
-    "epochs",
-    "lr",
-    "batch_size",
-    "loss",
-    "skew",
-    "skew_strength",
-    "scaling_override",
-    "seed",
-    "out",
-    "samples",
-    "noise_std",
-    "m",
-    "n",
-)
+# Flags that choose where the config comes from rather than set one of its keys.
+_SOURCE_FLAGS = ("command", "preset", "config")
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS if getattr(args, key) is not None}
+    overrides = {key: value for key, value in vars(args).items() if key not in _SOURCE_FLAGS}
     return parse_config(path=args.config, overrides=overrides, preset=args.preset)
 
 

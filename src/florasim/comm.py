@@ -2,8 +2,8 @@
 
 Counts are parameter counts, not bytes; a bytes view is a presentation
 multiplier. Round 0 charges the one-time dense-model broadcast (m*n per
-client) for every strategy including full fine-tuning, so totals and ratios
-are well defined. From then on each round charges, per client:
+client) for every strategy including full fine-tuning, so every total
+starts from the same broadcast. From then on each round charges, per client:
 
     upload              rank_k * (m + n)              any adapter strategy
     download, averaging rank * (m + n)                the averaged pair
@@ -25,8 +25,8 @@ from .errors import HeterogeneousRankError
 PAYLOAD_KINDS = ("full_model", "adapter", "stacked_adapter")
 DIRECTIONS = ("up", "down")
 
-# Strategy names accepted by the ledger; "full_ft" is the reference point
-# for ratios and is not a simulator strategy.
+# Strategy names accepted by the ledger; "full_ft" is the dense reference
+# that totals are compared against and is not a simulator strategy.
 LEDGER_STRATEGIES = ("flora", "fedit", "zero_padding", "standalone", "centralized", "full_ft")
 
 
@@ -124,38 +124,6 @@ def charge_round(
     return sum(ranks) * (m + n), down + k_clients * down_count
 
 
-@dataclass(frozen=True)
-class CommSummary:
-    """Ledger totals with the ratio against full fine-tuning."""
-
-    total_params: int
-    per_round: dict[int, tuple[int, int]]
-    ratio_to_full_ft: float
-
-
-def summarize(ledger: CommLedger, rounds: int) -> CommSummary:
-    """Summarize a ledger covering rounds 0..rounds-1.
-
-    The full fine-tuning reference over the same span is the initial
-    broadcast plus a dense up and down per client per round. With rounds = 0
-    only the broadcast exists on both sides, so the ratio is exactly 1.
-    """
-    if not ledger.events:
-        raise ValueError("cannot summarize an empty ledger")
-    broadcast = [e for e in ledger.events if e.round == 0 and e.party == "broadcast"]
-    if not broadcast:
-        raise ValueError("ledger is missing the round-0 base broadcast")
-    mn = broadcast[0].param_count
-    k_clients = len(broadcast)
-    full_ft_total = k_clients * mn * (1 + 2 * rounds)
-    per_round = {r: ledger.round_totals(r) for r in range(rounds)} if rounds else {0: ledger.round_totals(0)}
-    return CommSummary(
-        total_params=ledger.total(),
-        per_round=per_round,
-        ratio_to_full_ft=ledger.total() / full_ft_total,
-    )
-
-
 REPORT_SCHEMA = 1
 REPORT_COLUMNS = (
     "round",
@@ -183,6 +151,14 @@ class ReportRow:
 
 def _format_real(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
+
+
+def _parse_real(text: str) -> float | None:
+    return None if text == "" else float(text)
+
+
+# One parser per report column, in REPORT_COLUMNS order.
+_PARSERS = (int, str, float, float, _parse_real, int, int)
 
 
 def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
@@ -229,19 +205,19 @@ def read_report(path: str | Path) -> list[ReportRow]:
     if lines[1] != ",".join(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {lines[1]!r}")
     rows = []
-    for line in lines[2:]:
+    for number, line in enumerate(lines[2:], start=3):
         if not line:
             continue
-        f = line.split(",")
-        rows.append(
-            ReportRow(
-                round=int(f[0]),
-                strategy=f[1],
-                global_loss=float(f[2]),
-                mean_client_loss=float(f[3]),
-                relative_noise=None if f[4] == "" else float(f[4]),
-                params_up_total=int(f[5]),
-                params_down_total=int(f[6]),
+        cells = line.split(",")
+        if len(cells) != len(REPORT_COLUMNS):
+            raise ValueError(
+                f"{path}: line {number}: expected {len(REPORT_COLUMNS)} fields, got {len(cells)}"
             )
-        )
+        values = []
+        for column, parse, text in zip(REPORT_COLUMNS, _PARSERS, cells):
+            try:
+                values.append(parse(text))
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: {column}: cannot parse {text!r}") from None
+        rows.append(ReportRow(*values))
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 from .data import SKEW_KINDS
 from .errors import ConfigError
 from .lora import INIT_KINDS
-from .simulation import STRATEGIES
+from .simulation import EVAL_FRACTION, STRATEGIES
 from .training import LOSS_KINDS
 
 SCALING_SWEEP = (0.01, 0.05, 0.1, 0.2)
@@ -86,7 +86,7 @@ class ExperimentConfig:
         if self.samples < 2:
             p.append(f"samples: must be >= 2, got {self.samples}")
         else:
-            train = self.samples - max(1, int(round(self.samples * 0.2)))
+            train = self.samples - max(1, int(round(self.samples * EVAL_FRACTION)))
             if train < self.clients:
                 p.append(
                     f"samples: {self.samples} leaves {train} training samples "

@@ -7,17 +7,17 @@ so the product decomposes into a sum of rank-1 outer products, one per inner
 index. Concatenating the a-factors of several adapters row-wise and the
 b-factors column-wise therefore yields a single adapter whose product equals
 the sum of the individual products exactly. That concatenation ("stacking")
-is the aggregation primitive everything else here builds on; it places no
-constraint on the individual ranks.
+places no constraint on the individual ranks. It is implemented once, in
+``aggregation`` (``aggregate_flora`` and ``shuffled_stack``).
 
-All values are immutable after construction and every operation is a pure
-function.
+This module holds the adapter and base-weight values, fresh-adapter
+initialization and the dense update b @ a. All values are immutable after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -147,60 +147,6 @@ def init_adapter(dim: Dim, rank: int, policy: InitPolicy) -> LoraAdapter:
 def adapter_delta(adapter: LoraAdapter) -> np.ndarray:
     """Materialize the dense update b @ a."""
     return adapter.b @ adapter.a
-
-
-def merge_into_base(base: BaseWeights, adapter: LoraAdapter) -> BaseWeights:
-    """Return new weights w + b @ a; the input base is unchanged."""
-    if (base.m, base.n) != (adapter.m, adapter.n):
-        raise ValueError(
-            f"shape mismatch: base is {base.m}x{base.n}, "
-            f"adapter update is {adapter.m}x{adapter.n}"
-        )
-    return BaseWeights(base.w + adapter_delta(adapter))
-
-
-def stack_adapters(adapters: Sequence[LoraAdapter]) -> LoraAdapter:
-    """Concatenate adapters into one: a-factors stacked vertically in list
-    order, b-factors horizontally in the same order.
-
-    The result has rank equal to the sum of the input ranks, and its update
-    equals the sum of the input updates (exactly, in exact arithmetic).
-    A single-element list returns that adapter itself.
-    """
-    if len(adapters) == 0:
-        raise ValueError("cannot stack an empty list of adapters")
-    shapes = {(ad.m, ad.n) for ad in adapters}
-    if len(shapes) != 1:
-        raise ValueError(f"adapters disagree on base shape: {sorted(shapes)}")
-    if len(adapters) == 1:
-        return adapters[0]
-    return LoraAdapter(
-        a=np.vstack([ad.a for ad in adapters]),
-        b=np.hstack([ad.b for ad in adapters]),
-    )
-
-
-def scale_adapter(adapter: LoraAdapter, p: float) -> LoraAdapter:
-    """Scale the update by p >= 0, applied to the a factor only.
-
-    One-sided application matters: the later product b @ (p a) picks the
-    factor up exactly once, whereas scaling both factors would square it.
-    """
-    if not np.isfinite(p) or p < 0:
-        raise ValueError(f"scale factor must be finite and >= 0, got {p}")
-    return LoraAdapter(a=p * adapter.a, b=adapter.b)
-
-
-def split_rank1(adapter: LoraAdapter) -> list[LoraAdapter]:
-    """Decompose into rank-1 sub-adapters: row i of a paired with column i of b.
-
-    Stacking the pieces back in the original order reproduces the factors
-    bit-identically; stacking them in any order reproduces the update.
-    """
-    return [
-        LoraAdapter(a=adapter.a[i : i + 1, :], b=adapter.b[:, i : i + 1])
-        for i in range(adapter.rank)
-    ]
 
 
 def trainable_fraction(dim: Dim, rank: int) -> float:

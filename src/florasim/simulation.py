@@ -12,7 +12,8 @@ exchange.
 The standalone and centralized references run the same round: they train
 their carried adapters (one per client, or one on the pooled data) from the
 frozen initial base, and are charged, evaluated and reported by the same
-code as the federated strategies.
+code as the federated strategies. Every round returns the one record the
+report writes for it, a ``comm.ReportRow``.
 
 Clients train one after another in client order. All randomness is derived
 per (experiment seed, client, round), so a client's adapter does not depend
@@ -90,82 +91,29 @@ class ClientRuntime:
 
 
 @dataclass(frozen=True)
-class RoundMetrics:
-    """Evaluation and traffic for one completed training round.
-
-    After a federated round every participant holds the merged global
-    weights, so each entry of per_client_eval_loss equals global_eval_loss;
-    it is evaluated once. Standalone clients keep their own adapters and
-    report distinct losses, whose mean is the global loss; centralized
-    reports its one pooled adapter's loss.
-    """
-
-    round: int
-    strategy: str
-    global_eval_loss: float
-    per_client_eval_loss: list[float]
-    fedit_relative_noise: float | None
-    params_up: int
-    params_down: int
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.global_eval_loss):
-            raise ValueError("global_eval_loss must be finite")
-        if self.params_up < 0 or self.params_down < 0:
-            raise ValueError("parameter counts must be >= 0")
-
-
-def _mean_client_loss(global_loss: float, client_losses: list[float]) -> float:
-    """Mean of the client losses; exactly global_loss when every client reports it
-    (the baseline and every federated round), where np.mean may round away."""
-    if all(loss == global_loss for loss in client_losses):
-        return global_loss
-    return float(np.mean(client_losses))
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
-    """Baseline evaluation plus per-round metrics for one strategy run."""
+    """Baseline loss plus the report row of every round of one strategy run.
+
+    Every strategy's global loss is the mean of its clients' held-out losses:
+    federated participants all hold the merged weights, standalone reports
+    the mean over its clients' adapters and centralized its one adapter's
+    loss. So each row's mean_client_loss is its global_loss.
+    """
 
     strategy: str
     seed: int
     baseline_loss: float
-    baseline_client_losses: list[float]
-    rounds: list[RoundMetrics]
+    rounds: list[ReportRow]
     ledger: CommLedger
 
     @property
     def final_global_loss(self) -> float:
-        return self.rounds[-1].global_eval_loss if self.rounds else self.baseline_loss
+        return self.rounds[-1].global_loss if self.rounds else self.baseline_loss
 
     def to_rows(self) -> list[ReportRow]:
         """Row 0 is the pre-training baseline; row t is after round t."""
-        rows = [
-            ReportRow(
-                round=0,
-                strategy=self.strategy,
-                global_loss=self.baseline_loss,
-                mean_client_loss=_mean_client_loss(self.baseline_loss, self.baseline_client_losses),
-                relative_noise=None,
-                params_up_total=0,
-                params_down_total=0,
-            )
-        ]
-        for metrics in self.rounds:
-            rows.append(
-                ReportRow(
-                    round=metrics.round + 1,
-                    strategy=metrics.strategy,
-                    global_loss=metrics.global_eval_loss,
-                    mean_client_loss=_mean_client_loss(
-                        metrics.global_eval_loss, metrics.per_client_eval_loss
-                    ),
-                    relative_noise=metrics.fedit_relative_noise,
-                    params_up_total=metrics.params_up,
-                    params_down_total=metrics.params_down,
-                )
-            )
-        return rows
+        baseline = ReportRow(0, self.strategy, self.baseline_loss, self.baseline_loss, None, 0, 0)
+        return [baseline, *self.rounds]
 
 
 @dataclass(frozen=True)
@@ -216,16 +164,15 @@ def _close_round(
     server: ServerState,
     strategy: str,
     loss: float,
-    client_losses: list[float],
     noise: float | None,
     traffic: tuple[int, int],
-) -> RoundMetrics:
-    """Advance the round counter and report the round just trained and charged."""
-    round_index = server.round
+) -> ReportRow:
+    """Advance the round counter and report the round just trained and charged,
+    numbered as in the report (round t of the server is row t + 1)."""
     server.round += 1
     if not np.isfinite(loss):
-        raise DivergenceError(strategy, round_index + 1, [], "the held-out loss is not finite")
-    return RoundMetrics(round_index, strategy, loss, client_losses, noise, *traffic)
+        raise DivergenceError(strategy, server.round, [], "the held-out loss is not finite")
+    return ReportRow(server.round, strategy, loss, loss, noise, *traffic)
 
 
 def apply_updates(
@@ -240,6 +187,10 @@ def apply_updates(
         aggregate = aggregate_zero_padding(updates)
     else:
         raise ConfigError([f"strategy: {strategy!r} is not a federated aggregation strategy"])
+    if (aggregate.m, aggregate.n) != (base.m, base.n):
+        raise ValueError(
+            f"shape mismatch: base is {base.m}x{base.n}, update is {aggregate.m}x{aggregate.n}"
+        )
     return BaseWeights(base.w + adapter_delta(aggregate)), aggregate
 
 
@@ -252,8 +203,8 @@ def run_round(
     *,
     init_policy: InitPolicy = InitPolicy(),
     scaling_override: float | None = None,
-) -> RoundMetrics:
-    """Execute one federated round and return its metrics."""
+) -> ReportRow:
+    """Execute one federated round and return its report row."""
     if strategy not in FEDERATED_STRATEGIES:
         raise ConfigError([f"strategy: {strategy!r} cannot drive a federated round"])
     ranks = [c.rank for c in clients]
@@ -301,7 +252,7 @@ def run_round(
             noise = fedit_noise(padded_updates(updates)).relative_noise
         loss = _eval_base(server.base, eval_set, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
-    return _close_round(server, strategy, loss, [loss] * len(clients), noise, traffic)
+    return _close_round(server, strategy, loss, noise, traffic)
 
 
 @dataclass(frozen=True)
@@ -382,7 +333,7 @@ def _run(config, world: _World) -> ExperimentReport:
         seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
         adapters = [init_adapter(dim, max(config.ranks), replace(init_policy, seed=seed))]
 
-    rounds: list[RoundMetrics] = []
+    rounds: list[ReportRow] = []
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
             active = _participants(clients, config.client_fraction, config.seed, t)
@@ -411,14 +362,12 @@ def _run(config, world: _World) -> ExperimentReport:
             batch = Batch(world.eval_set.xs, world.eval_set.ys)
             losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
         traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
-        rounds.append(_close_round(server, strategy, float(np.mean(losses)), losses, None, traffic))
+        rounds.append(_close_round(server, strategy, float(np.mean(losses)), None, traffic))
 
     return ExperimentReport(
         strategy=strategy,
         seed=config.seed,
         baseline_loss=world.baseline,
-        # Every client starts from the task's base, so each one's loss is the baseline.
-        baseline_client_losses=[world.baseline] * len(clients),
         rounds=rounds,
         ledger=server.ledger,
     )

@@ -126,15 +126,6 @@ def _forward(
     return ax, x @ w.T + ax @ b.T
 
 
-def forward(model: ToyModel, x: np.ndarray) -> np.ndarray:
-    """y = w x + b (a x), two thin products."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.base.n,):
-        raise ValueError(f"input must be a vector of length {model.base.n}, got {x.shape}")
-    _, y = _forward(model.base.w, model.adapter.a, model.adapter.b, x[None, :])
-    return y[0]
-
-
 def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
     """Float targets the residual subtracts: the values themselves for squared
     error, one-hot rows of the class indices for softmax cross-entropy."""

@@ -29,7 +29,7 @@ from .config import ExperimentConfig, with_overrides
 from .lora import BaseWeights, Dim, LoraAdapter, adapter_delta, trainable_fraction
 from .rng import derive_seed
 from .simulation import compare_strategies
-from .training import Batch, ToyModel, TrainConfig, local_train, loss_and_grads
+from .training import Batch, ToyModel, loss_and_grads
 
 _EPS = float(np.finfo(np.float64).eps)
 

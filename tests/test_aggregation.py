@@ -6,6 +6,8 @@ from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from florasim import (
     HeterogeneousRankError,
@@ -17,10 +19,7 @@ from florasim import (
     aggregate_zero_padding,
     fedit_noise,
     oracle_delta,
-    scale_adapter,
     shuffled_stack,
-    split_rank1,
-    stack_adapters,
 )
 from florasim.rng import derive_seed, fisher_yates
 
@@ -48,6 +47,36 @@ def random_round(gen, homogeneous=False, k=None):
     return [
         WeightedUpdate(LoraAdapter(a=gen.normal(size=(r, n)), b=gen.normal(size=(m, r))), float(w))
         for r, w in zip(ranks, weights)
+    ]
+
+
+def scaled_rank1_pieces(updates):
+    """Reference: every update's rank-1 pieces (row i of a, column i of b) in
+    stacking order, each a row scaled by its update's weight (the a side only)."""
+    return [
+        (u.weight * u.adapter.a[i : i + 1], u.adapter.b[:, i : i + 1])
+        for u in updates
+        for i in range(u.adapter.rank)
+    ]
+
+
+def stack_pieces(pieces):
+    """Reference stacking: a pieces row-wise, b pieces column-wise, in list order."""
+    return LoraAdapter(a=np.vstack([a for a, _ in pieces]), b=np.hstack([b for _, b in pieces]))
+
+
+@st.composite
+def weighted_rounds(draw):
+    """K <= 10 updates with mixed ranks 1-8, dims 2-32 and weights on the
+    simplex, zero and unit weights included."""
+    k = draw(st.integers(1, 10))
+    m, n = draw(st.integers(2, 32)), draw(st.integers(2, 32))
+    ranks = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    raw = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        WeightedUpdate(LoraAdapter(a=gen.normal(size=(r, n)), b=gen.normal(size=(m, r))), w / sum(raw))
+        for r, w in zip(ranks, raw)
     ]
 
 
@@ -306,27 +335,44 @@ class TestShuffledStack:
 
 class TestStackingFactorsMatchAdapterComposition:
     """Stacking builds its factors directly; they must equal, byte for byte,
-    the composition of scale_adapter, split_rank1 and stack_adapters."""
+    the reference: scale each a, split into rank-1 pieces, stack the pieces."""
 
     def test_aggregate_flora(self):
         gen = np.random.default_rng(46)
         for k in [1] * 5 + [None] * 40:
             updates = random_round(gen, k=k)
-            composed = stack_adapters([scale_adapter(u.adapter, u.weight) for u in updates])
-            stacked = aggregate_flora(updates)
-            assert stacked.a.tobytes() == composed.a.tobytes()
-            assert stacked.b.tobytes() == composed.b.tobytes()
+            self.check_aggregate_flora(updates)
 
     def test_shuffled_stack(self):
         gen = np.random.default_rng(47)
         for k in [1] * 5 + [None] * 40:
             updates = random_round(gen, k=k)
-            seed = int(gen.integers(0, 2**63))
-            pieces = [p for u in updates for p in split_rank1(scale_adapter(u.adapter, u.weight))]
-            composed = stack_adapters([pieces[i] for i in fisher_yates(len(pieces), seed)])
-            shuffled = shuffled_stack(updates, seed)
-            assert shuffled.a.tobytes() == composed.a.tobytes()
-            assert shuffled.b.tobytes() == composed.b.tobytes()
+            self.check_shuffled_stack(updates, int(gen.integers(0, 2**63)))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(updates=weighted_rounds(), seed=st.integers(0, 2**63 - 1))
+    def test_reference_and_oracle_property(self, updates, seed):
+        self.check_aggregate_flora(updates)
+        self.check_shuffled_stack(updates, seed)
+        oracle = oracle_delta(updates)
+        assert np.abs(adapter_delta(aggregate_flora(updates)) - oracle).max() <= 1e-10
+        assert np.abs(adapter_delta(shuffled_stack(updates, seed)) - oracle).max() <= 1e-10
+
+    @staticmethod
+    def check_aggregate_flora(updates):
+        composed = stack_pieces(scaled_rank1_pieces(updates))
+        stacked = aggregate_flora(updates)
+        assert stacked.rank == sum(u.adapter.rank for u in updates)
+        assert stacked.a.tobytes() == composed.a.tobytes()
+        assert stacked.b.tobytes() == composed.b.tobytes()
+
+    @staticmethod
+    def check_shuffled_stack(updates, seed):
+        pieces = scaled_rank1_pieces(updates)
+        composed = stack_pieces([pieces[i] for i in fisher_yates(len(pieces), seed)])
+        shuffled = shuffled_stack(updates, seed)
+        assert shuffled.a.tobytes() == composed.a.tobytes()
+        assert shuffled.b.tobytes() == composed.b.tobytes()
 
 
 class TestWeightedUpdate:
@@ -336,8 +382,9 @@ class TestWeightedUpdate:
             WeightedUpdate(LoraAdapter(a=[[1.0]], b=[[1.0]]), weight)
 
     def test_split_stack_shuffle_pipeline_stays_consistent(self):
+        # Unit weights: stacking the unscaled rank-1 pieces rebuilds the stack.
         gen = np.random.default_rng(30)
-        updates = random_round(gen)
-        pieces = [p for u in updates for p in split_rank1(u.adapter)]
-        rebuilt = stack_adapters(pieces)
+        updates = [WeightedUpdate(u.adapter, 1.0) for u in random_round(gen)]
+        rebuilt = stack_pieces(scaled_rank1_pieces(updates))
         assert rebuilt.rank == sum(u.adapter.rank for u in updates)
+        assert rebuilt.a.tobytes() == aggregate_flora(updates).a.tobytes()

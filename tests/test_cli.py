@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -9,11 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import florasim
 from florasim import ConfigError, ExperimentConfig, read_report
-from florasim.cli import main
+from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
+from florasim.data import SKEW_KINDS
+from florasim.lora import INIT_KINDS
+from florasim.simulation import STRATEGIES
+from florasim.training import LOSS_KINDS
 
 DATA = Path(__file__).parent / "data"
 
@@ -99,6 +106,107 @@ class TestParseConfig:
 
 def parse_config_from_text(text: str):
     return parse_config(overrides=read_config_text(text))
+
+
+NONNEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any config that validates; out is drawn from characters config text keeps."""
+    m, n, clients = draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        ranks = (draw(st.integers(1, 64)),) * clients
+    else:
+        ranks = tuple(draw(st.lists(st.integers(1, 64), min_size=clients, max_size=clients)))
+    allowed = STRATEGIES if len(set(ranks)) == 1 else tuple(s for s in STRATEGIES if s != "fedit")
+    config = ExperimentConfig(
+        m=m,
+        n=n,
+        clients=clients,
+        ranks=ranks,
+        strategy=draw(st.sampled_from(allowed)),
+        strategies=tuple(draw(st.lists(st.sampled_from(allowed), max_size=5))),
+        rounds=draw(st.integers(0, 100)),
+        epochs=draw(st.integers(1, 10)),
+        lr=draw(NONNEGATIVE),
+        batch_size=draw(st.integers(1, 512)),
+        loss=draw(st.sampled_from(LOSS_KINDS)),
+        skew=draw(st.sampled_from(SKEW_KINDS)),
+        skew_strength=draw(NONNEGATIVE),
+        scaling_override=draw(st.none() | UNIT),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        out=draw(st.text("abcxyz0123456789._-/", min_size=1, max_size=20)),
+        # Twice the clients plus two leaves each client a sample after the holdout.
+        samples=draw(st.integers(2 * clients + 2, 10**6)),
+        noise_std=draw(NONNEGATIVE),
+        teacher_rank=draw(st.integers(1, min(m, n))),
+        init_kind=draw(st.sampled_from(INIT_KINDS)),
+        init_std=draw(NONNEGATIVE),
+        client_fraction=draw(UNIT),
+    )
+    config.validate()
+    return config
+
+
+class TestConfigTextRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(config=valid_configs())
+    def test_round_trip_property(self, config):
+        assert parse_config_from_text(config_to_text(config)) == config
+
+
+# A value for every config flag of run, each unlike the key's default.
+FLAG_VALUES = {
+    "strategy": "zero_padding",
+    "strategies": "flora,standalone",
+    "clients": "4",
+    "ranks": "1,2,3,4",
+    "rounds": "5",
+    "epochs": "2",
+    "lr": "0.125",
+    "batch_size": "7",
+    "loss": "softmax-cross-entropy",
+    "skew": "label-skew",
+    "skew_strength": "0.5",
+    "scaling_override": "0.25",
+    "seed": "9",
+    "out": "x.csv",
+    "samples": "300",
+    "noise_std": "0.5",
+    "m": "12",
+    "n": "10",
+}
+
+
+class TestConfigFlags:
+    def test_every_run_flag_sets_its_config_key(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        run = commands.choices["run"]
+        sources = ("help", "preset", "config")
+        flags = {a.dest: a.option_strings[0] for a in run._actions if a.dest not in sources}
+        assert set(flags) == set(FLAG_VALUES)
+        argv = ["run", *(part for dest, flag in flags.items() for part in (flag, FLAG_VALUES[dest]))]
+        config = _config_from_args(parser.parse_args(argv))
+        assert config == parse_config(overrides=FLAG_VALUES)
+        default = ExperimentConfig()
+        assert all(getattr(config, key) != getattr(default, key) for key in FLAG_VALUES)
+
+    def test_unset_flags_leave_preset_and_file_in_force(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("rounds = 5\nseed = 7\n")
+        args = build_parser().parse_args(["run", "--preset", "hetero", "--config", str(path), "--seed", "8"])
+        expected = parse_config(path=path, overrides={"seed": "8"}, preset="hetero")
+        assert _config_from_args(args) == expected
+
+
+class TestPackageExports:
+    def test_all_is_unique_and_every_name_resolves(self):
+        assert len(florasim.__all__) == len(set(florasim.__all__))
+        missing = [name for name in florasim.__all__ if not hasattr(florasim, name)]
+        assert missing == []
 
 
 class TestMain:

@@ -1,9 +1,11 @@
-"""Transmission ledger arithmetic, summaries, and report serialization."""
+"""Transmission ledger arithmetic and report serialization."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from florasim import (
     CommEvent,
@@ -12,11 +14,11 @@ from florasim import (
     ReportRow,
     charge_round,
     read_report,
-    summarize,
     trainable_fraction,
 )
-from florasim.comm import emit_rows
+from florasim.comm import REPORT_COLUMNS, emit_rows
 from florasim.errors import HeterogeneousRankError
+from florasim.simulation import STRATEGIES
 
 BIG = Dim(4096, 4096)
 
@@ -139,32 +141,7 @@ class TestChargeRound:
                 assert flora_down - broadcast > fedit_down - broadcast
 
 
-class TestSummarize:
-    def test_three_round_reference_totals(self):
-        k, r, rounds = 10, 16, 3
-        m = n = 4096
-        flora = summarize(charged_ledger("flora", BIG, [r] * k, rounds), rounds)
-        fedit = summarize(charged_ledger("fedit", BIG, [r] * k, rounds), rounds)
-        assert flora.total_params == k * (m * n + rounds * (r + k * r) * (m + n))
-        assert fedit.total_params == k * (m * n + rounds * 2 * r * (m + n))
-        assert flora.ratio_to_full_ft >= fedit.ratio_to_full_ft
-        assert flora.ratio_to_full_ft < 1 and fedit.ratio_to_full_ft < 1
-        # The stacking overhead stays within five points of full fine-tuning.
-        assert flora.ratio_to_full_ft - fedit.ratio_to_full_ft < 0.05
-
-    def test_full_ft_ratio_is_exactly_one(self):
-        summary = summarize(charged_ledger("full_ft", Dim(32, 16), [4, 4, 4], 5), 5)
-        assert summary.ratio_to_full_ft == 1.0
-
-    def test_broadcast_only_edge_has_ratio_one(self):
-        ledger = CommLedger()
-        charge_round(ledger, "standalone", Dim(8, 8), [2, 2], 2, 0)
-        assert summarize(ledger, 0).ratio_to_full_ft == 1.0
-
-    def test_rejects_empty_ledger(self):
-        with pytest.raises(ValueError):
-            summarize(CommLedger(), 1)
-
+class TestCommEvent:
     def test_event_validation(self):
         with pytest.raises(ValueError):
             CommEvent(0, "sideways", 0, 1, "adapter")
@@ -179,6 +156,34 @@ SAMPLE_ROWS = [
     ReportRow(1, "flora", 6.5, 6.5, None, 5120, 51200),
     ReportRow(1, "fedit", 6.75, 6.75, 0.4375, 5120, 5120),
 ]
+
+
+# Reals a report may hold, with the extremes of float64 drawn explicitly:
+# the smallest subnormal, the smallest normal and the largest finite value.
+REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+TRAFFIC = st.one_of(st.just(0), st.integers(0, 2**62))
+ROWS = st.lists(
+    st.builds(
+        ReportRow,
+        round=st.integers(0, 10**6),
+        strategy=st.sampled_from(STRATEGIES),
+        global_loss=REALS,
+        mean_client_loss=REALS,
+        relative_noise=st.none() | REALS,
+        params_up_total=TRAFFIC,
+        params_down_total=TRAFFIC,
+    ),
+    max_size=12,
+)
+
+
+def write_report_lines(path, *rows):
+    """A valid header followed by the given row lines."""
+    header = "# florasim-report schema=1 seed=0\n" + ",".join(REPORT_COLUMNS)
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 class TestReports:
@@ -219,6 +224,31 @@ class TestReports:
         path = tmp_path / "nope.csv"
         path.write_text("hello\nworld\n")
         with pytest.raises(ValueError):
+            read_report(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=ROWS, seed=st.integers(0, 2**63 - 1))
+    def test_round_trip_property(self, tmp_path_factory, rows, seed):
+        path = tmp_path_factory.mktemp("reports") / "rows.csv"
+        emit_rows(rows, path, seed=seed)
+        assert read_report(path) == rows
+
+    def test_read_names_path_and_line_of_a_truncated_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        write_report_lines(path, "0,flora,1,1,,0,0", "1,flora")
+        with pytest.raises(ValueError, match=r"short\.csv: line 4: expected 7 fields, got 2$"):
+            read_report(path)
+
+    def test_read_rejects_an_extra_field(self, tmp_path):
+        path = tmp_path / "long.csv"
+        write_report_lines(path, "1,flora,1,1,,2,3,4")
+        with pytest.raises(ValueError, match=r"long\.csv: line 3: expected 7 fields, got 8$"):
+            read_report(path)
+
+    def test_read_names_the_field_that_does_not_parse(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_report_lines(path, "1,flora,x,1,,2,3")
+        with pytest.raises(ValueError, match=r"bad\.csv: line 3: global_loss: cannot parse 'x'$"):
             read_report(path)
 
     def test_write_failure_carries_path(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Adapter algebra: init, dense update, stacking, scaling, rank-1 split."""
+"""Adapter values: init, dense update, trainable fraction, immutability."""
 
 from __future__ import annotations
 
@@ -12,10 +12,6 @@ from florasim import (
     LoraAdapter,
     adapter_delta,
     init_adapter,
-    merge_into_base,
-    scale_adapter,
-    split_rank1,
-    stack_adapters,
     trainable_fraction,
 )
 
@@ -72,133 +68,6 @@ class TestDelta:
             for y in range(3):
                 by_hand = sum(adapter.b[x][i] * adapter.a[i][y] for i in range(2))
                 assert abs(delta[x][y] - by_hand) <= 8 * EPS * max(1.0, abs(by_hand))
-
-
-class TestMerge:
-    def test_zero_delta_keeps_identity(self):
-        base = BaseWeights(np.eye(2))
-        fresh = init_adapter(Dim(2, 2), 1, InitPolicy(seed=1))
-        assert np.array_equal(merge_into_base(base, fresh).w, np.eye(2))
-
-    def test_hand_merge(self):
-        base = BaseWeights(np.zeros((2, 2)))
-        adapter = LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]])
-        assert merge_into_base(base, adapter).w.tolist() == [[2.0, 0.0], [0.0, 0.0]]
-
-    def test_value_semantics(self):
-        w = np.eye(2)
-        base = BaseWeights(w)
-        merge_into_base(base, LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]))
-        assert np.array_equal(base.w, np.eye(2))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            merge_into_base(BaseWeights(np.zeros((3, 2))), LoraAdapter(a=[[1.0, 1.0]], b=[[1.0], [1.0]]))
-
-
-class TestStack:
-    def test_shape_arithmetic(self):
-        first = LoraAdapter(a=np.ones((1, 2)), b=np.ones((2, 1)))
-        second = LoraAdapter(a=np.ones((2, 2)), b=np.ones((2, 2)))
-        stacked = stack_adapters([first, second])
-        assert stacked.a.shape == (3, 2)
-        assert stacked.b.shape == (2, 3)
-        assert stacked.rank == 3
-
-    def test_stacked_product_is_sum_of_products(self):
-        first = LoraAdapter(a=[[1.0, 0.0]], b=[[1.0], [0.0]])
-        second = LoraAdapter(a=[[0.0, 1.0]], b=[[0.0], [1.0]])
-        assert np.array_equal(adapter_delta(stack_adapters([first, second])), np.eye(2))
-
-    def test_single_element_identity(self):
-        adapter = LoraAdapter(a=[[1.0, 2.0]], b=[[3.0], [4.0]])
-        assert stack_adapters([adapter]) is adapter
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            stack_adapters([])
-        with pytest.raises(ValueError):
-            stack_adapters(
-                [
-                    LoraAdapter(a=np.ones((1, 2)), b=np.ones((2, 1))),
-                    LoraAdapter(a=np.ones((1, 3)), b=np.ones((2, 1))),
-                ]
-            )
-
-    def test_exactness_over_heterogeneous_ranks(self):
-        gen = np.random.default_rng(42)
-        for _ in range(50):
-            k = int(gen.integers(1, 11))
-            m, n = int(gen.integers(2, 33)), int(gen.integers(2, 33))
-            adapters = [_random_adapter(gen, m, n, int(gen.integers(1, 9))) for _ in range(k)]
-            total_rank = sum(ad.rank for ad in adapters)
-            by_stack = adapter_delta(stack_adapters(adapters))
-            by_sum = np.zeros((m, n))
-            for ad in adapters:
-                by_sum += adapter_delta(ad)
-            scale = max(1.0, float(np.abs(by_sum).max()))
-            assert np.abs(by_stack - by_sum).max() <= 8 * EPS * total_rank * scale
-
-
-class TestScale:
-    def test_one_is_exact_identity(self):
-        adapter = LoraAdapter(a=[[1.1, 2.2]], b=[[3.3], [4.4]])
-        scaled = scale_adapter(adapter, 1.0)
-        assert np.array_equal(adapter_delta(scaled), adapter_delta(adapter))
-
-    def test_zero_gives_zero_delta(self):
-        adapter = LoraAdapter(a=[[1.1, 2.2]], b=[[3.3], [4.4]])
-        assert np.array_equal(adapter_delta(scale_adapter(adapter, 0.0)), np.zeros((2, 2)))
-
-    def test_half_hand_value(self):
-        adapter = LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]])
-        assert adapter_delta(scale_adapter(adapter, 0.5)).tolist() == [[1.0, 0.0], [0.0, 0.0]]
-
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0])
-    def test_exact_for_power_of_two_factors(self, p):
-        gen = np.random.default_rng(3)
-        adapter = _random_adapter(gen, 4, 5, 2)
-        assert np.array_equal(adapter_delta(scale_adapter(adapter, p)), p * adapter_delta(adapter))
-
-    def test_b_side_untouched(self):
-        adapter = LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]])
-        scaled = scale_adapter(adapter, 0.25)
-        assert np.array_equal(scaled.b, adapter.b)
-        assert np.array_equal(scaled.a, 0.25 * adapter.a)
-
-    @pytest.mark.parametrize("p", [-0.5, float("nan"), float("inf")])
-    def test_rejects_bad_factors(self, p):
-        with pytest.raises(ValueError):
-            scale_adapter(LoraAdapter(a=[[1.0]], b=[[1.0]]), p)
-
-
-class TestSplitRank1:
-    def test_rank1_input_round_trips(self):
-        adapter = LoraAdapter(a=[[1.0, 2.0]], b=[[3.0], [4.0]])
-        (only,) = split_rank1(adapter)
-        assert np.array_equal(only.a, adapter.a)
-        assert np.array_equal(only.b, adapter.b)
-
-    def test_rank2_pieces_sum_to_original(self):
-        gen = np.random.default_rng(8)
-        adapter = _random_adapter(gen, 3, 4, 2)
-        pieces = split_rank1(adapter)
-        total = adapter_delta(pieces[0]) + adapter_delta(pieces[1])
-        assert np.abs(total - adapter_delta(adapter)).max() <= 8 * EPS * 2
-
-    def test_rank_r_gives_r_rank1_pieces(self):
-        gen = np.random.default_rng(9)
-        adapter = _random_adapter(gen, 4, 6, 5)
-        pieces = split_rank1(adapter)
-        assert len(pieces) == 5
-        assert all(p.rank == 1 for p in pieces)
-
-    def test_split_then_stack_is_bit_identical(self):
-        gen = np.random.default_rng(10)
-        adapter = _random_adapter(gen, 5, 7, 4)
-        rebuilt = stack_adapters(split_rank1(adapter))
-        assert rebuilt.a.tobytes() == adapter.a.tobytes()
-        assert rebuilt.b.tobytes() == adapter.b.tobytes()
 
 
 class TestTrainableFraction:

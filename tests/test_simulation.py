@@ -15,7 +15,6 @@ from florasim import (
     ExperimentConfig,
     LoraAdapter,
     WeightedUpdate,
-    adapter_delta,
     apply_updates,
     compare_strategies,
     fedit_noise,
@@ -125,6 +124,12 @@ class TestRunRound:
         assert merged.w.tolist() == [[2.0, 2.0], [3.0, 6.0]]
         assert aggregate.rank == 2
 
+    def test_merge_rejects_an_update_of_another_shape(self):
+        # A 1x2 update would broadcast over every row of a 3x2 base.
+        update = WeightedUpdate(LoraAdapter(a=[[1.0, 2.0]], b=[[1.0]]), 1.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            apply_updates(BaseWeights(np.zeros((3, 2))), [update], "flora")
+
     def test_empty_round_rejected(self):
         server, _, eval_set = fresh_world(SMALL)
         with pytest.raises(ConfigError):
@@ -142,8 +147,8 @@ class TestRunRound:
     def test_noise_metric_only_for_averaging_strategies(self):
         for strategy, expect_noise in (("flora", False), ("fedit", True), ("zero_padding", True)):
             server, clients, eval_set = fresh_world(with_overrides(SMALL, strategy=strategy))
-            metrics = run_round(server, clients, strategy, TrainConfig(seed=0), eval_set)
-            assert (metrics.fedit_relative_noise is not None) == expect_noise
+            row = run_round(server, clients, strategy, TrainConfig(seed=0), eval_set)
+            assert (row.relative_noise is not None) == expect_noise
 
     def test_scaling_override_replaces_data_weights(self):
         server, clients, eval_set = fresh_world(SMALL)
@@ -184,14 +189,17 @@ class TestRunExperiment:
         assert rows[1].params_down_total > rows[2].params_down_total  # broadcast in round 0
         assert all(np.isfinite(row.global_loss) for row in rows)
 
-    def test_federated_losses_match_round_metrics(self):
-        report = run_experiment(SMALL)
-        assert report.final_global_loss == report.rounds[-1].global_eval_loss
+    def test_rounds_are_the_report_rows_after_the_baseline(self):
+        for strategy in ("flora", "standalone", "centralized"):
+            report = run_experiment(with_overrides(SMALL, strategy=strategy))
+            rows = report.to_rows()
+            assert rows[1:] == report.rounds
+            assert [row.round for row in report.rounds] == [1, 2]
+            assert report.final_global_loss == report.rounds[-1].global_loss
 
     def test_standalone_runs_without_aggregation(self):
         report = run_experiment(with_overrides(SMALL, strategy="standalone"))
         assert len(report.rounds) == 2
-        assert all(len(m.per_client_eval_loss) == 3 for m in report.rounds)
         uploads = [e for e in report.ledger.events if e.direction == "up"]
         assert uploads == []
 
@@ -209,32 +217,43 @@ class TestRunExperiment:
         }
         assert all(count == 2 for count in per_round_uploads.values())
 
-    def test_federated_client_losses_equal_global_loss(self):
+    def test_baseline_is_the_base_only_evaluation(self):
         config = with_overrides(SMALL, client_fraction=0.5, clients=4, ranks=(2, 2, 2, 2))
         report = run_experiment(config)
-        assert report.baseline_client_losses == [report.baseline_loss] * 4
-        for metrics in report.rounds:
-            assert metrics.per_client_eval_loss == [metrics.global_eval_loss] * 2
         # The base-only evaluation is the adapter path with a zero adapter, bit for bit.
         server, _, eval_set = fresh_world(config)
         zero = LoraAdapter(a=np.zeros((1, config.n)), b=np.zeros((config.m, 1)))
         batch = Batch(eval_set.xs, eval_set.ys)
         assert evaluate(ToyModel(server.base, zero), batch) == report.baseline_loss
 
-    def test_mean_client_loss_is_global_loss_on_federated_rows(self):
-        # np.mean of ten or seven copies of a loss need not return that loss.
+    def test_mean_client_loss_is_global_loss_on_every_row(self):
         config = with_overrides(SMALL, client_fraction=0.7, clients=10, ranks=(2,) * 10, samples=400, rounds=4)
         strategies = ["flora", "fedit", "zero_padding", "centralized", "standalone"]
         comparison = compare_strategies(config, strategies)
-        for strategy in strategies:
-            report = comparison.reports[strategy]
-            rows = report.to_rows()
-            assert rows[0].mean_client_loss == rows[0].global_loss
-            for row, metrics in zip(rows[1:], report.rounds):
-                if strategy == "standalone":
-                    assert row.mean_client_loss == float(np.mean(metrics.per_client_eval_loss))
-                else:
-                    assert row.mean_client_loss == row.global_loss
+        for row in comparison.to_rows():
+            assert row.mean_client_loss == row.global_loss
+
+    def test_standalone_loss_is_the_mean_over_its_clients(self):
+        config = with_overrides(SMALL, strategy="standalone")
+        report = run_experiment(config)
+        world = _build_world(config)
+        batch = Batch(world.eval_set.xs, world.eval_set.ys)
+        roots = [derive_seed(config.seed, i) for i in range(config.clients)]
+        policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
+        adapters = [
+            init_adapter(world.base.dim, rank, replace(policy, seed=derive_seed(root, 0, _TAG_INIT)))
+            for root, rank in zip(roots, config.ranks)
+        ]
+        cfg = TrainConfig(config.lr, config.batch_size, config.epochs, config.loss)
+        for t, row in enumerate(report.rounds):
+            adapters = [
+                local_train(
+                    ToyModel(world.base, a), shard, replace(cfg, seed=derive_seed(root, t, _TAG_TRAIN))
+                )
+                for a, shard, root in zip(adapters, world.shards, roots)
+            ]
+            losses = [evaluate(ToyModel(world.base, a), batch) for a in adapters]
+            assert row.global_loss == float(np.mean(losses))
 
     @pytest.mark.parametrize(
         "lr, where",

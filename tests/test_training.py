@@ -1,4 +1,4 @@
-"""Forward pass, hand-derived gradients vs finite differences, local SGD."""
+"""Evaluation, hand-derived gradients vs finite differences, local SGD."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from florasim import (
     ToyModel,
     TrainConfig,
     adapter_delta,
-    forward,
     init_adapter,
     local_train,
     loss_and_grads,
@@ -67,31 +66,6 @@ def assert_grads_close(analytic, numeric):
     assert (gap <= 1e-8 + 1e-5 * np.abs(numeric)).all()
 
 
-class TestForward:
-    def test_zero_base_fresh_adapter(self):
-        model = ToyModel(BaseWeights(np.zeros((2, 2))), init_adapter(Dim(2, 2), 1, InitPolicy(seed=4)))
-        assert np.array_equal(forward(model, np.array([1.0, -2.0])), np.zeros(2))
-
-    def test_hand_value(self):
-        model = ToyModel(BaseWeights(np.eye(2)), LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]))
-        assert forward(model, np.array([1.0, 0.0])).tolist() == [3.0, 0.0]
-
-    def test_matches_dense_path(self):
-        gen = np.random.default_rng(1234)
-        for _ in range(50):
-            m, n, r = int(gen.integers(2, 9)), int(gen.integers(2, 9)), int(gen.integers(1, 4))
-            model = random_model(gen, m, n, r)
-            x = gen.normal(size=n)
-            dense = (model.base.w + adapter_delta(model.adapter)) @ x
-            scale = max(1.0, float(np.abs(dense).max()))
-            assert np.abs(forward(model, x) - dense).max() <= 4 * EPS * scale
-
-    def test_rejects_wrong_length(self):
-        model = random_model(np.random.default_rng(0), 3, 4, 2)
-        with pytest.raises(ValueError):
-            forward(model, np.zeros(5))
-
-
 class TestLossAndGrads:
     def test_hand_fixture_against_finite_differences(self):
         model = ToyModel(BaseWeights(np.zeros((2, 2))), LoraAdapter(a=[[1.0, 0.0]], b=[[1.0], [0.0]]))
@@ -106,8 +80,8 @@ class TestLossAndGrads:
 
     def test_zero_residual_means_zero_grads(self):
         model = ToyModel(BaseWeights(np.eye(2)), LoraAdapter(a=[[1.0, 0.0]], b=[[1.0], [0.0]]))
-        x = np.array([1.0, 2.0])
-        batch = Batch(inputs=[x], targets=[forward(model, x)])
+        # w x + b (a x) = [1, 2] + [1, 0] * 1, exactly.
+        batch = Batch(inputs=[[1.0, 2.0]], targets=[[2.0, 2.0]])
         _, d_a, d_b = loss_and_grads(model, batch, "squared-error")
         assert np.array_equal(d_a, np.zeros((1, 2)))
         assert np.array_equal(d_b, np.zeros((2, 1)))
@@ -202,6 +176,24 @@ class TestLossAndGrads:
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             Batch(inputs=np.zeros((0, 2)), targets=np.zeros((0, 2)))
+
+
+class TestEvaluate:
+    def test_zero_base_fresh_adapter_scores_the_targets_alone(self):
+        model = ToyModel(BaseWeights(np.zeros((2, 2))), init_adapter(Dim(2, 2), 1, InitPolicy(seed=4)))
+        batch = Batch(inputs=[[1.0, -2.0], [3.0, 0.5]], targets=[[1.0, 0.0], [0.0, 2.0]])
+        assert evaluate(model, batch) == 0.5 * (1.0 + 4.0) / 2
+
+    def test_thin_products_match_the_dense_outputs(self):
+        gen = np.random.default_rng(1234)
+        for _ in range(50):
+            m, n, r = int(gen.integers(2, 9)), int(gen.integers(2, 9)), int(gen.integers(1, 4))
+            model = random_model(gen, m, n, r)
+            x = gen.normal(size=(int(gen.integers(1, 6)), n))
+            dense = x @ (model.base.w + adapter_delta(model.adapter)).T
+            gap = 4 * EPS * max(1.0, float(np.abs(dense).max()))
+            # Every output within gap of the dense one bounds the mean half squared error.
+            assert evaluate(model, Batch(inputs=x, targets=dense)) <= 0.5 * m * gap**2
 
 
 class TestSoftmaxLoss:
@@ -414,6 +406,41 @@ class TestLocalTrainMatchesPerStepReference:
         assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
         assert np.abs(trained.a - ref_a).max() <= 1e-12 * np.abs(ref_a).max()
         assert np.abs(trained.b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+
+
+class TestZeroPaddingStaysZero:
+    """A zero row of a with the matching zero column of b gets zero gradient
+    (d_b = g^T (x a^T), d_a = (g b)^T x), so local SGD keeps it exactly zero
+    and the live block trains as the unpadded adapter does."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(2, 32),
+        n=st.integers(2, 32),
+        r=st.integers(1, 6),
+        pad=st.integers(1, 6),
+        size=st.integers(1, 80),
+        batch_size=st.integers(1, 40),
+        epochs=st.integers(1, 3),
+        loss_kind=st.sampled_from(LOSS_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_padded_factors_stay_zero_property(self, m, n, r, pad, size, batch_size, epochs, loss_kind, seed):
+        gen = np.random.default_rng(seed)
+        xs = gen.normal(size=(size, n))
+        ys = gen.normal(size=(size, m)) if loss_kind == "squared-error" else gen.integers(0, m, size=size)
+        shard = ClientShard(client_id=0, xs=xs, ys=ys)
+        base = BaseWeights(gen.normal(scale=0.3, size=(m, n)))
+        a, b = gen.normal(scale=0.3, size=(r, n)), gen.normal(scale=0.3, size=(m, r))
+        padded = LoraAdapter(a=np.vstack([a, np.zeros((pad, n))]), b=np.hstack([b, np.zeros((m, pad))]))
+        cfg = TrainConfig(
+            learning_rate=0.05, batch_size=batch_size, local_epochs=epochs, loss=loss_kind, seed=seed
+        )
+        trained = local_train(ToyModel(base, padded), shard, cfg)
+        assert not trained.a[r:].any() and not trained.b[:, r:].any()
+        live = local_train(ToyModel(base, LoraAdapter(a=a, b=b)), shard, cfg)
+        for got, want in ((trained.a[:r], live.a), (trained.b[:, :r], live.b)):
+            assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 class TestValidation:
