@@ -103,6 +103,29 @@ class TestFlora:
         with pytest.raises(ValueError):
             aggregate_flora([])
 
+    def test_shape_arithmetic(self):
+        updates = [
+            WeightedUpdate(LoraAdapter(a=np.ones((1, 2)), b=np.ones((3, 1))), 0.5),
+            WeightedUpdate(LoraAdapter(a=np.ones((2, 2)), b=np.ones((3, 2))), 0.5),
+        ]
+        stacked = aggregate_flora(updates)
+        assert stacked.a.shape == (3, 2)
+        assert stacked.b.shape == (3, 3)
+        assert stacked.rank == 3
+
+    def test_weight_scales_the_a_side_only(self):
+        adapter = LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]])
+        stacked = aggregate_flora([WeightedUpdate(adapter, 0.25)])
+        assert stacked.b.tobytes() == adapter.b.tobytes()
+        assert stacked.a.tolist() == [[0.5, 0.0]]
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0, 2.0])
+    def test_power_of_two_weights_scale_the_update_exactly(self, weight):
+        gen = np.random.default_rng(3)
+        adapter = LoraAdapter(a=gen.normal(size=(2, 5)), b=gen.normal(size=(4, 2)))
+        stacked = aggregate_flora([WeightedUpdate(adapter, weight)])
+        assert np.array_equal(adapter_delta(stacked), weight * adapter_delta(adapter))
+
     def test_matches_oracle_on_random_rounds(self):
         gen = np.random.default_rng(21)
         for _ in range(50):
@@ -321,6 +344,13 @@ class TestShuffledStack:
                 found = True
         assert found
 
+    def test_one_rank1_update_at_full_weight_is_unchanged(self):
+        adapter = LoraAdapter(a=[[1.0, 2.0]], b=[[3.0], [4.0]])
+        for seed in (0, 1, 17):
+            shuffled = shuffled_stack([WeightedUpdate(adapter, 1.0)], seed)
+            assert shuffled.a.tobytes() == adapter.a.tobytes()
+            assert shuffled.b.tobytes() == adapter.b.tobytes()
+
     def test_hetero_profile_rank_and_equality(self):
         gen = np.random.default_rng(29)
         updates = [
@@ -380,6 +410,25 @@ class TestWeightedUpdate:
     def test_rejects_bad_weights(self, weight):
         with pytest.raises(ValueError):
             WeightedUpdate(LoraAdapter(a=[[1.0]], b=[[1.0]]), weight)
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            aggregate_flora,
+            aggregate_fedit,
+            aggregate_zero_padding,
+            oracle_delta,
+            lambda updates: shuffled_stack(updates, seed=0),
+        ],
+        ids=["flora", "fedit", "zero_padding", "oracle", "shuffled_stack"],
+    )
+    def test_every_combination_rejects_mismatched_base_shapes(self, combine):
+        updates = [
+            WeightedUpdate(LoraAdapter(a=np.ones((1, 2)), b=np.ones((2, 1))), 0.5),
+            WeightedUpdate(LoraAdapter(a=np.ones((1, 3)), b=np.ones((2, 1))), 0.5),
+        ]
+        with pytest.raises(ValueError, match="disagree on base shape"):
+            combine(updates)
 
     def test_split_stack_shuffle_pipeline_stays_consistent(self):
         # Unit weights: stacking the unscaled rank-1 pieces rebuilds the stack.

@@ -141,6 +141,28 @@ class TestChargeRound:
                 assert flora_down - broadcast > fedit_down - broadcast
 
 
+class TestCommLedger:
+    def test_an_uncharged_round_has_no_traffic(self):
+        assert CommLedger().total() == 0
+        ledger = charged_ledger("flora", Dim(8, 6), [2, 3], 3)
+        assert ledger.round_totals(3) == (0, 0)
+
+    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
+    def test_references_charge_only_the_round_zero_broadcast(self, strategy):
+        k, dim = 4, Dim(8, 6)
+        ledger = charged_ledger(strategy, dim, [2] * k, 3)
+        receivers = 1 if strategy == "centralized" else k
+        assert ledger.round_totals(0) == (0, receivers * dim.m * dim.n)
+        assert ledger.round_totals(1) == ledger.round_totals(2) == (0, 0)
+
+    def test_full_ft_moves_the_dense_model_both_ways_every_round(self):
+        k, dim = 3, Dim(8, 6)
+        ledger = charged_ledger("full_ft", dim, [2] * k, 3)
+        dense = k * dim.m * dim.n
+        assert ledger.round_totals(0) == (dense, 2 * dense)
+        assert ledger.round_totals(1) == ledger.round_totals(2) == (dense, dense)
+
+
 class TestCommEvent:
     def test_event_validation(self):
         with pytest.raises(ValueError):

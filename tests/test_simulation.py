@@ -130,6 +130,44 @@ class TestRunRound:
         with pytest.raises(ValueError, match="shape mismatch"):
             apply_updates(BaseWeights(np.zeros((3, 2))), [update], "flora")
 
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
+    def test_merging_fresh_adapters_keeps_the_base_bytes(self, strategy):
+        # A fresh adapter's b is zero, so every aggregate's update is exactly zero.
+        base = BaseWeights(np.array([[1.0, 0.5], [-2.0, 3.0]]))
+        updates = [
+            WeightedUpdate(init_adapter(base.dim, 2, InitPolicy(seed=s)), w)
+            for s, w in [(1, 0.25), (2, 0.75)]
+        ]
+        merged, _ = apply_updates(base, updates, strategy)
+        assert merged.w.tobytes() == base.w.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
+    def test_merge_leaves_the_given_base_untouched(self, strategy):
+        base = BaseWeights(np.eye(2))
+        update = WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 1.0)
+        merged, _ = apply_updates(base, [update], strategy)
+        assert merged.w.tolist() == [[3.0, 0.0], [0.0, 1.0]]
+        assert np.array_equal(base.w, np.eye(2))
+        assert not merged.w.flags.writeable
+
+    def test_averaging_hand_merges(self):
+        # Same two clients as the flora fixture: averaging mixes their factors.
+        base = BaseWeights(np.zeros((2, 2)))
+        updates = [
+            WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 0.5),
+            WeightedUpdate(LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]), 0.5),
+        ]
+        for strategy in ("fedit", "zero_padding"):
+            merged, aggregate = apply_updates(base, updates, strategy)
+            assert merged.w.tolist() == [[0.5, 1.0], [0.5, 1.0]]
+            assert aggregate.rank == 1
+
+    @pytest.mark.parametrize("strategy", ["standalone", "centralized", "full_ft"])
+    def test_merge_rejects_a_strategy_without_aggregation(self, strategy):
+        update = WeightedUpdate(LoraAdapter(a=[[1.0]], b=[[1.0]]), 1.0)
+        with pytest.raises(ConfigError, match=strategy):
+            apply_updates(BaseWeights(np.zeros((1, 1))), [update], strategy)
+
     def test_empty_round_rejected(self):
         server, _, eval_set = fresh_world(SMALL)
         with pytest.raises(ConfigError):

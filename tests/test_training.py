@@ -184,6 +184,17 @@ class TestEvaluate:
         batch = Batch(inputs=[[1.0, -2.0], [3.0, 0.5]], targets=[[1.0, 0.0], [0.0, 2.0]])
         assert evaluate(model, batch) == 0.5 * (1.0 + 4.0) / 2
 
+    def test_hand_value(self):
+        # The model maps [1, 0] to (I + b a) [1, 0] = [3, 0].
+        model = ToyModel(BaseWeights(np.eye(2)), LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]))
+        assert evaluate(model, Batch(inputs=[[1.0, 0.0]], targets=[[3.0, 0.0]])) == 0.0
+        assert evaluate(model, Batch(inputs=[[1.0, 0.0]], targets=[[1.0, 0.0]])) == 2.0
+
+    def test_rejects_inputs_of_the_wrong_width(self):
+        model = random_model(np.random.default_rng(0), 3, 4, 2)
+        with pytest.raises(ValueError):
+            evaluate(model, Batch(inputs=np.zeros((1, 5)), targets=np.zeros((1, 3))))
+
     def test_thin_products_match_the_dense_outputs(self):
         gen = np.random.default_rng(1234)
         for _ in range(50):
