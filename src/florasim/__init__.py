@@ -14,7 +14,6 @@ from .aggregation import (
     aggregate_zero_padding,
     fedit_noise,
     oracle_delta,
-    padded_updates,
     shuffled_stack,
 )
 from .comm import (
@@ -103,7 +102,6 @@ __all__ = [
     "local_train",
     "loss_and_grads",
     "oracle_delta",
-    "padded_updates",
     "parse_config",
     "partition",
     "read_report",

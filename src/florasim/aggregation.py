@@ -9,12 +9,13 @@ Three strategies are implemented over the same weighted-update input:
 * averaging: the a factors and b factors are averaged independently with the
   weight applied to both sides. The product of averages is not the average
   of products, so this is biased; it also requires every rank to be equal.
-* zero-padding: mixed-rank adapters are extended to the maximum rank with
-  zero rows/columns and then averaged exactly as above.
+* zero-padding: averaging as above at the maximum rank, exactly as if every
+  adapter were first extended to it with zero rows/columns.
 
 ``fedit_noise`` splits the averaged update into the self-term (weights appear
 squared) and the cross-client term that separable averaging introduces, and
-reports the size of that term relative to the correct weighted sum.
+reports the size of that term relative to the correct weighted sum; a round
+splits the aggregate it merged instead (``_split_noise``), averaging once.
 """
 
 from __future__ import annotations
@@ -108,39 +109,30 @@ def aggregate_fedit(updates: list[WeightedUpdate]) -> LoraAdapter:
     mixed-client products appear alongside: see ``fedit_noise``.
     """
     _check_round(updates)
-    _check_homogeneous(updates)
-    a = np.zeros_like(updates[0].adapter.a)
-    b = np.zeros_like(updates[0].adapter.b)
-    for u in updates:
-        a += u.weight * u.adapter.a
-        b += u.weight * u.adapter.b
-    return LoraAdapter(a=a, b=b)
-
-
-def _pad_to_rank(adapter: LoraAdapter, rank: int) -> LoraAdapter:
-    if adapter.rank == rank:
-        return adapter
-    extra = rank - adapter.rank
-    return LoraAdapter(
-        a=np.vstack([adapter.a, np.zeros((extra, adapter.n))]),
-        b=np.hstack([adapter.b, np.zeros((adapter.m, extra))]),
-    )
-
-
-def padded_updates(updates: list[WeightedUpdate]) -> list[WeightedUpdate]:
-    """Extend every adapter to the round's maximum rank with zeros."""
-    _check_round(updates)
-    r_max = max(u.adapter.rank for u in updates)
-    return [WeightedUpdate(_pad_to_rank(u.adapter, r_max), u.weight) for u in updates]
+    return _averaged(updates, _check_homogeneous(updates))
 
 
 def aggregate_zero_padding(updates: list[WeightedUpdate]) -> LoraAdapter:
-    """Pad every adapter to the maximum rank with zeros, then average.
+    """Average every adapter as if padded with zeros to the maximum rank.
 
     Under homogeneous ranks the padding is a no-op and the result is
     bit-identical to ``aggregate_fedit``.
     """
-    return aggregate_fedit(padded_updates(updates))
+    _check_round(updates)
+    return _averaged(updates, max(u.adapter.rank for u in updates))
+
+
+def _averaged(updates: list[WeightedUpdate], rank: int) -> LoraAdapter:
+    """Weighted sums of the factors at the given rank: each adapter adds into
+    the leading rows of a and columns of b. Skipping a padded zero changes no
+    bit, since an accumulator that starts at +0.0 never holds -0.0."""
+    a = np.zeros((rank, updates[0].adapter.n))
+    b = np.zeros((updates[0].adapter.m, rank))
+    for u in updates:
+        r = u.adapter.rank
+        a[:r] += u.weight * u.adapter.a
+        b[:, :r] += u.weight * u.adapter.b
+    return LoraAdapter(a=a, b=b)
 
 
 def oracle_delta(updates: list[WeightedUpdate]) -> np.ndarray:
@@ -157,7 +149,15 @@ def oracle_delta(updates: list[WeightedUpdate]) -> np.ndarray:
 
 
 def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
-    """Split the averaged aggregate's update into signal and cross terms.
+    """Split the update of ``aggregate_fedit(updates)`` into the squared-weight
+    self-terms and the cross-client terms (equal ranks only); see ``NoiseReport``."""
+    _check_round(updates)
+    _check_homogeneous(updates)
+    return _split_noise(updates, aggregate_fedit(updates))
+
+
+def _split_noise(updates: list[WeightedUpdate], aggregate: LoraAdapter) -> NoiseReport:
+    """Split the update of the fedit or zero-padding aggregate of these updates.
 
     signal is accumulated directly as the squared-weight self-terms; cross is
     obtained by subtracting signal from the dense averaged update, which is
@@ -166,9 +166,7 @@ def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
     accumulated in the same pass, in ``oracle_delta``'s order, so it is
     bit-identical to that function's result.
     """
-    _check_round(updates)
-    _check_homogeneous(updates)
-    averaged = adapter_delta(aggregate_fedit(updates))
+    averaged = adapter_delta(aggregate)
     signal = np.zeros_like(averaged)
     oracle = np.zeros_like(averaged)
     for u in updates:
@@ -189,14 +187,8 @@ def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
         relative = float("inf")
     else:
         relative = cross_norm / oracle_norm
-    return NoiseReport(
-        signal=_readonly(signal), cross=_readonly(cross), relative_noise=relative
-    )
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+    signal.flags.writeable = cross.flags.writeable = False
+    return NoiseReport(signal=signal, cross=cross, relative_noise=relative)
 
 
 def shuffled_stack(updates: list[WeightedUpdate], seed: int) -> LoraAdapter:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -124,14 +125,6 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-def _parse_int(text: str) -> int:
-    return int(text, 0)
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
 def _parse_ranks(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
@@ -140,34 +133,16 @@ def _parse_strategies(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip() != "")
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip() == "" else float(text)
-
-
-_PARSERS = {
-    "m": _parse_int,
-    "n": _parse_int,
-    "clients": _parse_int,
-    "ranks": _parse_ranks,
-    "strategy": str.strip,
-    "strategies": _parse_strategies,
-    "rounds": _parse_int,
-    "epochs": _parse_int,
-    "lr": _parse_float,
-    "batch_size": _parse_int,
-    "loss": str.strip,
-    "skew": str.strip,
-    "skew_strength": _parse_float,
-    "scaling_override": _parse_optional_float,
-    "seed": _parse_int,
-    "out": str.strip,
-    "samples": _parse_int,
-    "noise_std": _parse_float,
-    "teacher_rank": _parse_int,
-    "init_kind": str.strip,
-    "init_std": _parse_float,
-    "client_fraction": _parse_float,
+# One parser per field type; each key's parser follows from its field's type.
+_TYPE_PARSERS = {
+    int: lambda text: int(text, 0),
+    float: float,
+    float | None: lambda text: None if text.strip() == "" else float(text),
+    str: str.strip,
+    tuple[int, ...]: _parse_ranks,
+    tuple[str, ...]: _parse_strategies,
 }
+_PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in get_type_hints(ExperimentConfig).items()}
 
 
 def read_config_text(text: str) -> dict[str, str]:

@@ -21,12 +21,13 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """A round of any strategy produced non-finite numbers.
+    """A round of any strategy produced non-finite numbers, or a held-out
+    loss past ``simulation.DIVERGENCE_RATIO`` times the baseline loss.
 
     Names the strategy, the round (numbered as in the report, where row t
     follows round t) and the clients whose local training or update b @ a
     is non-finite. When no client is to blame the client list is empty and
-    ``what`` says what overflowed instead: the merged weights, the held-out
+    ``what`` says what diverged instead: the merged weights, the held-out
     loss, or, for the centralized reference, which trains one adapter on
     the pooled data of all clients, that adapter's local SGD.
     """

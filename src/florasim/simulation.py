@@ -3,7 +3,8 @@
 One round: every client draws a fresh zero-update adapter, fine-tunes it on
 its shard, and uploads it; the server aggregates the uploads under the chosen
 strategy and merges the aggregate update into the global weights with
-coefficient one. Redistribution is implicit: every client trains from the
+coefficient one; the averaging strategies' noise is split from that same
+aggregate. Redistribution is implicit: every client trains from the
 server's current base, which is numerically identical to shipping the
 stacked factors and multiplying locally, while the ledger charges the
 protocol-accurate stacked sizes, so communication totals match the real wire
@@ -32,8 +33,7 @@ from .aggregation import (
     aggregate_fedit,
     aggregate_flora,
     aggregate_zero_padding,
-    fedit_noise,
-    padded_updates,
+    _split_noise,
 )
 from .comm import CommLedger, ReportRow, charge_round
 from .data import (
@@ -55,6 +55,9 @@ FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
 
 EVAL_FRACTION = 0.2
+
+# A run whose held-out loss exceeds this multiple of the baseline diverged.
+DIVERGENCE_RATIO = 1e3
 
 # Stream tags keeping the per-purpose seed derivations disjoint.
 _TAG_INIT = 0
@@ -235,7 +238,7 @@ def run_round(
         updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
         try:
-            server.base, _ = apply_updates(server.base, updates, strategy)
+            server.base, aggregate = apply_updates(server.base, updates, strategy)
         except ValueError as exc:
             # After the checks above the merge fails only on non-finite weights;
             # the per-client updates are formed again only on this path.
@@ -245,11 +248,7 @@ def run_round(
                 if not np.isfinite(adapter_delta(u.adapter)).all()
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
-        noise = None
-        if strategy == "fedit":
-            noise = fedit_noise(updates).relative_noise
-        elif strategy == "zero_padding":
-            noise = fedit_noise(padded_updates(updates)).relative_noise
+        noise = None if strategy == "flora" else _split_noise(updates, aggregate).relative_noise
         loss = _eval_base(server.base, eval_set, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
     return _close_round(server, strategy, loss, noise, traffic)
@@ -337,32 +336,35 @@ def _run(config, world: _World) -> ExperimentReport:
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
             active = _participants(clients, config.client_fraction, config.seed, t)
-            rounds.append(
-                run_round(
-                    server,
-                    active,
-                    strategy,
-                    train_cfg,
-                    world.eval_set,
-                    init_policy=init_policy,
-                    scaling_override=config.scaling_override,
-                )
+            row = run_round(
+                server,
+                active,
+                strategy,
+                train_cfg,
+                world.eval_set,
+                init_policy=init_policy,
+                scaling_override=config.scaling_override,
             )
-            continue
-        if strategy == "standalone":
-            jobs = [
-                (c.client_id, c.shard, adapter, derive_seed(c.seed, t, _TAG_TRAIN))
-                for c, adapter in zip(clients, adapters)
-            ]
         else:
-            seed = derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN)
-            jobs = [(None, pooled, adapters[0], seed)]
-        with np.errstate(**_QUIET):
-            adapters = _train(server, strategy, train_cfg, jobs)
-            batch = Batch(world.eval_set.xs, world.eval_set.ys)
-            losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
-        traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
-        rounds.append(_close_round(server, strategy, float(np.mean(losses)), None, traffic))
+            if strategy == "standalone":
+                jobs = [
+                    (c.client_id, c.shard, adapter, derive_seed(c.seed, t, _TAG_TRAIN))
+                    for c, adapter in zip(clients, adapters)
+                ]
+            else:
+                seed = derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN)
+                jobs = [(None, pooled, adapters[0], seed)]
+            with np.errstate(**_QUIET):
+                adapters = _train(server, strategy, train_cfg, jobs)
+                batch = Batch(world.eval_set.xs, world.eval_set.ys)
+                losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
+            traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
+            row = _close_round(server, strategy, float(np.mean(losses)), None, traffic)
+        if row.global_loss > DIVERGENCE_RATIO * world.baseline:
+            ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
+            what = f"the held-out loss is {ratio:.3g} times the baseline"
+            raise DivergenceError(strategy, row.round, [], what)
+        rounds.append(row)
 
     return ExperimentReport(
         strategy=strategy,

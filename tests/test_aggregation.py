@@ -21,6 +21,7 @@ from florasim import (
     oracle_delta,
     shuffled_stack,
 )
+from florasim.aggregation import _split_noise
 from florasim.rng import derive_seed, fisher_yates
 
 EPS = float(np.finfo(np.float64).eps)
@@ -63,6 +64,22 @@ def scaled_rank1_pieces(updates):
 def stack_pieces(pieces):
     """Reference stacking: a pieces row-wise, b pieces column-wise, in list order."""
     return LoraAdapter(a=np.vstack([a for a, _ in pieces]), b=np.hstack([b for _, b in pieces]))
+
+
+def hand_padded(updates):
+    """Reference zero-padding: every adapter extended to the round's largest
+    rank with zero rows of a and zero columns of b."""
+    r_max = max(u.adapter.rank for u in updates)
+    return [
+        WeightedUpdate(
+            LoraAdapter(
+                a=np.vstack([u.adapter.a, np.zeros((r_max - u.adapter.rank, u.adapter.n))]),
+                b=np.hstack([u.adapter.b, np.zeros((u.adapter.m, r_max - u.adapter.rank))]),
+            ),
+            u.weight,
+        )
+        for u in updates
+    ]
 
 
 @st.composite
@@ -207,6 +224,21 @@ class TestZeroPadding:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             aggregate_zero_padding([])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(updates=weighted_rounds())
+    def test_averages_and_splits_as_the_hand_padded_updates_property(self, updates):
+        padded = hand_padded(updates)
+        aggregate = aggregate_zero_padding(updates)
+        reference = aggregate_fedit(padded)
+        assert aggregate.rank == max(u.adapter.rank for u in updates)
+        assert aggregate.a.tobytes() == reference.a.tobytes()
+        assert aggregate.b.tobytes() == reference.b.tobytes()
+        split, noise = _split_noise(updates, aggregate), fedit_noise(padded)
+        assert split.signal.tobytes() == noise.signal.tobytes()
+        assert split.cross.tobytes() == noise.cross.tobytes()
+        assert split.relative_noise == noise.relative_noise
+        assert not split.signal.flags.writeable and not split.cross.flags.writeable
 
 
 class TestOracleDelta:

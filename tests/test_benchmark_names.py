@@ -1,0 +1,63 @@
+"""The benchmark's tracer still finds the package functions it wraps.
+
+``perfbench/tracing.py`` wraps florasim from outside the package by module
+and attribute name. A renamed or deleted function is recorded as absent and
+its metrics read 0 without an error, and a call that bypasses a wrapped
+name is not seen at all; these tests make either show in the test suite.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from florasim import ExperimentConfig, compare_strategies
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+def _resolve(module: str, attribute: str):
+    owner = importlib.import_module(f"florasim.{module}")
+    for part in attribute.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+@pytest.mark.parametrize(
+    "module, attribute",
+    [(module, attribute) for module, attribute, _ in tracing.SPANNED + tracing.COUNTED],
+)
+def test_every_traced_name_resolves(module, attribute):
+    assert callable(_resolve(module, attribute))
+
+
+def test_a_traced_compare_counts_training_and_aggregation():
+    config = ExperimentConfig(
+        m=8, n=8, clients=3, ranks=(2, 2, 2), rounds=2, samples=120, teacher_rank=2, seed=5
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        compare_strategies(config, ["flora", "fedit"])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.absent == []
+    assert metrics["training.local_train.calls"] > 0
+    # One aggregate per federated round: 2 strategies x 2 rounds.
+    assert metrics["aggregation.aggregate.calls"] == 4

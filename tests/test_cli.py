@@ -326,6 +326,28 @@ class TestMain:
             "0, 1, 2, 3, 4, 5, 6, 7, 8, 9"
         ]
 
+    def test_finite_divergence_exits_two(self, tmp_path, capsys):
+        # Under softmax the held-out loss can grow far past the baseline and
+        # stay finite; standalone's passes DIVERGENCE_RATIO times it in round 4.
+        out = tmp_path / "div.csv"
+        code = main(
+            [
+                "compare",
+                "--preset", "hetero",
+                "--strategies", "flora,zero_padding,standalone,centralized",
+                "--loss", "softmax-cross-entropy",
+                "--lr", "3",
+                "--rounds", "10",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: strategy standalone diverged in round 4: "
+            "the held-out loss is 6.8e+04 times the baseline\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
     def test_reference_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys, strategy):
         with np.errstate(all="ignore"):

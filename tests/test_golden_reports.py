@@ -42,6 +42,13 @@ CASES = {
          "--skew-strength", "1.0", *SOFTMAX],
         None,
     ),
+    # The same partition with half the clients per round, so the participant
+    # sampling seed and mixed-rank padding of a partial round show too.
+    "hetero_fraction0.5_lr0.1_softmax.csv": (
+        ["--preset", "hetero", "--strategies", REFS, *LR01, "--skew", "feature-shift+size-skew",
+         "--skew-strength", "1.0", *SOFTMAX],
+        "client_fraction = 0.5\n",
+    ),
 }
 
 

@@ -24,10 +24,12 @@ from florasim import (
 )
 from florasim.comm import emit_rows
 from florasim.config import parse_config, with_overrides
+from florasim.data import scaling_factors
 from florasim.lora import InitPolicy, init_adapter
 from florasim.rng import derive_seed
 from florasim.simulation import _TAG_INIT, _TAG_TRAIN, ClientRuntime, ServerState, _build_world
 from florasim.training import Batch, ToyModel, TrainConfig, evaluate, local_train
+from test_aggregation import hand_padded
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -188,6 +190,17 @@ class TestRunRound:
             row = run_round(server, clients, strategy, TrainConfig(seed=0), eval_set)
             assert (row.relative_noise is not None) == expect_noise
 
+    def test_zero_padding_noise_is_that_of_the_hand_padded_uploads(self):
+        config = with_overrides(SMALL, ranks=(1, 2, 3), strategy="zero_padding")
+        server, clients, eval_set = fresh_world(config)
+        cfg, policy = TrainConfig(seed=0), InitPolicy()
+        adapters = first_round_uploads(server, clients, cfg, policy)
+        weights = scaling_factors([c.shard for c in clients])
+        expected = fedit_noise(hand_padded([WeightedUpdate(a, w) for a, w in zip(adapters, weights)]))
+        row = run_round(server, clients, "zero_padding", cfg, eval_set, init_policy=policy)
+        assert expected.relative_noise > 0
+        assert row.relative_noise == expected.relative_noise
+
     def test_scaling_override_replaces_data_weights(self):
         server, clients, eval_set = fresh_world(SMALL)
         cfg = TrainConfig(seed=0)
@@ -301,7 +314,10 @@ class TestRunExperiment:
             (1e30, "train"),  # local SGD itself overflows
         ],
     )
-    def test_divergence_names_strategy_round_and_clients(self, lr, where):
+    def test_divergence_names_strategy_round_and_clients(self, monkeypatch, lr, where):
+        # The round's own checks, with the loss-ratio criterion of _run switched
+        # off: at these rates every round-1 loss is finite but far above it.
+        monkeypatch.setattr(simulation, "DIVERGENCE_RATIO", float("inf"))
         config = with_overrides(SMALL, lr=lr, rounds=3)
         for strategy in ("flora", "fedit", "zero_padding"):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
@@ -347,6 +363,26 @@ class TestRunExperiment:
             run_experiment(config)
         assert str(err.value) == (
             "strategy centralized diverged in round 1: the held-out loss is not finite"
+        )
+
+    @pytest.mark.parametrize("strategy", simulation.STRATEGIES)
+    def test_a_loss_above_the_ratio_times_the_baseline_is_divergence(self, monkeypatch, strategy):
+        config = with_overrides(SMALL, strategy=strategy, lr=0.5, rounds=4)
+        report = run_experiment(config)
+        ratios = [row.global_loss / report.baseline_loss for row in report.rounds]
+        assert max(ratios) < simulation.DIVERGENCE_RATIO
+        monkeypatch.setattr(simulation, "DIVERGENCE_RATIO", max(ratios) * (1 + 1e-9))
+        assert run_experiment(config).rounds == report.rounds
+        threshold = max(ratios) * (1 - 1e-9)
+        monkeypatch.setattr(simulation, "DIVERGENCE_RATIO", threshold)
+        with pytest.raises(DivergenceError) as err:
+            run_experiment(config)
+        first = next(t for t, ratio in enumerate(ratios, start=1) if ratio > threshold)
+        ratio = ratios[first - 1]
+        assert (err.value.strategy, err.value.round, err.value.clients) == (strategy, first, [])
+        assert str(err.value) == (
+            f"strategy {strategy} diverged in round {first}: "
+            f"the held-out loss is {ratio:.3g} times the baseline"
         )
 
     def test_divergence_of_the_merge_alone_names_no_client(self):
