@@ -15,7 +15,8 @@ Three strategies are implemented over the same weighted-update input:
 ``fedit_noise`` splits the averaged update into the self-term (weights appear
 squared) and the cross-client term that separable averaging introduces, and
 reports the size of that term relative to the correct weighted sum; a round
-splits the aggregate it merged instead (``_split_noise``), averaging once.
+splits the dense update it merged instead (``_split_noise``), so it averages
+and forms that update once.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
     self-terms and the cross-client terms (equal ranks only); see ``NoiseReport``."""
     _check_round(updates)
     _check_homogeneous(updates)
-    return _split_noise(updates, aggregate_fedit(updates))
+    return _split_noise(updates, adapter_delta(aggregate_fedit(updates)))
 
 
-def _split_noise(updates: list[WeightedUpdate], aggregate: LoraAdapter) -> NoiseReport:
-    """Split the update of the fedit or zero-padding aggregate of these updates.
+def _split_noise(updates: list[WeightedUpdate], averaged: np.ndarray) -> NoiseReport:
+    """Split ``averaged``, the dense update of the fedit or zero-padding
+    aggregate of these updates.
 
     signal is accumulated directly as the squared-weight self-terms; cross is
     obtained by subtracting signal from the dense averaged update, which is
@@ -166,7 +168,6 @@ def _split_noise(updates: list[WeightedUpdate], aggregate: LoraAdapter) -> Noise
     accumulated in the same pass, in ``oracle_delta``'s order, so it is
     bit-identical to that function's result.
     """
-    averaged = adapter_delta(aggregate)
     signal = np.zeros_like(averaged)
     oracle = np.zeros_like(averaged)
     for u in updates:

@@ -4,8 +4,9 @@ The global task is a linear teacher: targets are y = w_star x + noise, and
 the pre-trained base w sits a low-rank perturbation away from w_star, so a
 sufficiently ranked adapter can close the gap exactly. The generated sample
 pool is the only copy of the data: its arrays are read-only, and a client
-shard is a list of row indices into them. Targets are formed in blocks of
-rows, so no full-size temporary sits beside the pool.
+shard is a list of row indices into them. Whole-pool work goes through the
+rows in blocks (``row_blocks``): task targets here, labels, and the held-out
+loss in ``training``, so no full-size temporary sits beside the pool.
 
 Partitioning assigns the generated samples to clients without modifying or
 copying them — every skew is a biased assignment of rows, so the union of
@@ -40,9 +41,22 @@ SKEW_KINDS = SKEW_ATOMS + ("feature-shift+size-skew",)
 _MASK64 = (1 << 64) - 1
 
 # Rows per block where a whole-pool operation is split up (gen_task's target
-# product and noise, argmax_labels), so its temporaries and BLAS workspace
-# are bounded by the block, not the pool.
-_BLOCK_ROWS = 256
+# product and noise, argmax_labels, the held-out loss, local SGD's hoisted
+# base product), so its temporaries and BLAS workspace are bounded by the
+# block, not the pool.
+BLOCK_ROWS = 256
+
+
+def row_blocks(count: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of BLOCK_ROWS rows covering count rows.
+
+    A one-row block would go through gemv, whose sums may differ in the last
+    bit from the full product's; a one-row tail joins the block before it.
+    """
+    starts = list(range(0, count, BLOCK_ROWS))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
 
 
 @dataclass(frozen=True)
@@ -150,12 +164,7 @@ def gen_task(
     teacher = w + gap
     xs = gen.normal(0.0, 1.0, size=(samples_total, dim.n))
     ys = np.empty((samples_total, dim.m))
-    # A one-row block would go through gemv, whose sums may differ in the last
-    # bit from the full product's; a one-row tail joins the block before it.
-    starts = list(range(0, samples_total, _BLOCK_ROWS))
-    if len(starts) > 1 and samples_total - starts[-1] == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [samples_total]):
+    for start, stop in row_blocks(samples_total):
         block = ys[start:stop]
         np.matmul(xs[start:stop], teacher.T, out=block)
         if noise_std > 0:
@@ -173,7 +182,7 @@ def argmax_labels(ys: np.ndarray) -> np.ndarray:
     pool's rows go through in blocks and only a block is ever copied.
     """
     return np.concatenate(
-        [np.argmax(ys[i : i + _BLOCK_ROWS], axis=1) for i in range(0, len(ys), _BLOCK_ROWS)]
+        [np.argmax(ys[start:stop], axis=1) for start, stop in row_blocks(len(ys))]
     )
 
 

@@ -49,7 +49,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import Batch, ToyModel, TrainConfig, _loss, _target_matrix, evaluate, local_train
+from .training import Batch, ToyModel, TrainConfig, _mean_row_loss, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
@@ -135,7 +135,8 @@ class ComparisonReport:
 
 
 def _eval_base(base: BaseWeights, eval_set: EvalSet, loss: str) -> float:
-    return _loss(eval_set.xs @ base.w.T, _target_matrix(eval_set.ys, base.m, loss), loss)
+    """Held-out loss of the bare base, in row blocks like ``training.evaluate``."""
+    return _mean_row_loss(base, None, eval_set.xs, eval_set.ys, loss)
 
 
 def _train(
@@ -180,8 +181,12 @@ def _close_round(
 
 def apply_updates(
     base: BaseWeights, updates: list[WeightedUpdate], strategy: str
-) -> tuple[BaseWeights, LoraAdapter]:
-    """Aggregate uploads under a strategy and merge into the base weights."""
+) -> tuple[BaseWeights, LoraAdapter, np.ndarray]:
+    """Aggregate uploads under a strategy and merge into the base weights.
+
+    Returns the merged base, the aggregate and the dense update b @ a that
+    was merged, from which an averaging round splits its noise.
+    """
     if strategy == "flora":
         aggregate = aggregate_flora(updates)
     elif strategy == "fedit":
@@ -194,7 +199,8 @@ def apply_updates(
         raise ValueError(
             f"shape mismatch: base is {base.m}x{base.n}, update is {aggregate.m}x{aggregate.n}"
         )
-    return BaseWeights(base.w + adapter_delta(aggregate)), aggregate
+    delta = adapter_delta(aggregate)
+    return BaseWeights(base.w + delta), aggregate, delta
 
 
 def run_round(
@@ -238,7 +244,7 @@ def run_round(
         updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
         try:
-            server.base, aggregate = apply_updates(server.base, updates, strategy)
+            server.base, _, delta = apply_updates(server.base, updates, strategy)
         except ValueError as exc:
             # After the checks above the merge fails only on non-finite weights;
             # the per-client updates are formed again only on this path.
@@ -248,7 +254,7 @@ def run_round(
                 if not np.isfinite(adapter_delta(u.adapter)).all()
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
-        noise = None if strategy == "flora" else _split_noise(updates, aggregate).relative_noise
+        noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
         loss = _eval_base(server.base, eval_set, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
     return _close_round(server, strategy, loss, noise, traffic)

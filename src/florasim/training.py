@@ -20,19 +20,30 @@ then exactly factor - lr * gradient, which keeps oracle tests tight.
 
 The frozen base product x w^T does not change during a local pass, so
 ``local_train`` does not recompute it per step. It walks each epoch's
-shuffled order in chunks of whole batches, about 256 rows: per chunk it
-gathers the inputs and the targets once from the shared sample pool,
-through the shard's rows (``shard.rows[perm]``), and forms x w^T in one
-GEMM; each step then slices contiguous rows and computes only x a^T, the
-residual and the gradients. The chunk is bounded, not the whole shard,
-because the gathered rows stay in memory: in a 10-client m=n=256
+shuffled order in chunks of whole batches, about ``data.BLOCK_ROWS`` (256)
+rows: per chunk it gathers the inputs and the targets once from the shared
+sample pool, through the shard's rows (``shard.rows[perm]``), and forms
+x w^T in one GEMM; each step then slices contiguous rows and computes only
+x a^T, the residual and the gradients. The chunk is bounded, not the whole
+shard, because the gathered rows stay in memory: in a 10-client m=n=256
 comparison with 1600-row shards, hoisting whole shards peaked about 3%
-higher (242 MB) than 256-row chunks (235 MB). A chunk's targets are one
-float matrix (the values, or one-hot rows for softmax), so a step gathers
-and indexes nothing. The loss is computed only where it is reported
-(``loss_and_grads``, ``evaluate``). ``loss_and_grads`` shares the residual
-and the gradient expression with the SGD steps, so the finite-difference
-tests guard the training path.
+higher (242 MB) than 256-row chunks (235 MB). A chunk's inputs and base
+product go into two buffers made once per call: made afresh per chunk, the
+freed memory went back to the system and was faulted in again by the next
+chunk (47k page faults against 6k in a 10-client m=n=256 comparison, and
+about 10% of local training's time). A chunk's targets are one float matrix
+(the values, or one-hot rows for softmax), so a step gathers and indexes
+nothing.
+
+The loss is computed only where it is reported: ``loss_and_grads`` and the
+held-out loss (``evaluate``, and the simulation's evaluation of a bare
+base). Both are the mean over rows of each row's loss, half the row's
+summed squared residual or its softmax cross-entropy. The held-out loss
+goes through the rows in ``data.row_blocks``, writing each row's loss into
+one vector, so no temporary the size of the held-out set is formed beside
+the sample pool. ``loss_and_grads`` shares the residual and the gradient
+expression with the SGD steps, so the finite-difference tests guard the
+training path.
 """
 
 from __future__ import annotations
@@ -41,15 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClientShard
+from .data import BLOCK_ROWS, ClientShard, row_blocks
 from .lora import BaseWeights, LoraAdapter
 from .rng import derive_seed
 
 LOSS_KINDS = ("squared-error", "softmax-cross-entropy")
-
-# Rows per hoisted base product in local_train, rounded down to whole batches
-# (at least one); the module docstring says why it is bounded.
-_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -118,14 +125,6 @@ class Batch:
         return len(self.inputs)
 
 
-def _forward(
-    w: np.ndarray, a: np.ndarray, b: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch outputs x (w + b a)^T as two thin products; returns (x a^T, outputs)."""
-    ax = x @ a.T
-    return ax, x @ w.T + ax @ b.T
-
-
 def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
     """Float targets the residual subtracts: the values themselves for squared
     error, one-hot rows of the class indices for softmax cross-entropy."""
@@ -147,13 +146,44 @@ def _residual(y: np.ndarray, t: np.ndarray, loss_kind: str) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True) - t
 
 
-def _loss(y: np.ndarray, t: np.ndarray, loss_kind: str) -> float:
-    """Batch-mean loss against a target matrix; computed only where it is reported."""
+def _loss(y: np.ndarray, t: np.ndarray, loss_kind: str) -> np.ndarray:
+    """Each row's loss against a target matrix: half the row's summed squared
+    residual, or its softmax cross-entropy. Computed only where it is reported."""
     if loss_kind == "squared-error":
-        return float(0.5 * (_residual(y, t, loss_kind) ** 2).sum() / len(y))
+        return 0.5 * (_residual(y, t, loss_kind) ** 2).sum(axis=1)
     shifted = y - y.max(axis=1, keepdims=True)
     # Log-sum-exp form of -log(softmax): finite where a probability underflows to 0.
-    return float((np.log(np.exp(shifted).sum(axis=1)) - (shifted * t).sum(axis=1)).mean())
+    return np.log(np.exp(shifted).sum(axis=1)) - (shifted * t).sum(axis=1)
+
+
+def _mean_row_loss(
+    base: BaseWeights,
+    adapter: LoraAdapter | None,
+    xs: np.ndarray,
+    targets: np.ndarray,
+    loss_kind: str,
+) -> float:
+    """Mean over the rows of xs of each row's loss under base plus adapter
+    (the base alone when adapter is None).
+
+    The rows go through in ``row_blocks``: per block the outputs are
+    x w^T (+ (x a^T) b^T) and each row's loss is written into one (count,)
+    vector, so the largest temporary is a block's, not the whole set's.
+    From the same outputs, each row's softmax term has the same bits as over
+    the whole array at once; a mean of squared-error row sums can differ
+    from a flat sum over the array in the last bits.
+    """
+    if xs.shape[1] != base.n:
+        raise ValueError(f"inputs have {xs.shape[1]} features, model expects {base.n}")
+    losses = np.empty(len(xs))
+    for start, stop in row_blocks(len(xs)):
+        x = xs[start:stop]
+        y = x @ base.w.T
+        if adapter is not None:
+            y += (x @ adapter.a.T) @ adapter.b.T
+        t = _target_matrix(targets[start:stop], base.m, loss_kind)
+        losses[start:stop] = _loss(y, t, loss_kind)
+    return float(losses.mean())
 
 
 def _grads(g: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +201,12 @@ def loss_and_grads(
     x = batch.inputs
     if x.shape[1] != model.base.n:
         raise ValueError(f"batch inputs have {x.shape[1]} features, model expects {model.base.n}")
-    ax, y = _forward(model.base.w, model.adapter.a, model.adapter.b, x)
+    # The outputs x (w + b a)^T as two thin products.
+    ax = x @ model.adapter.a.T
+    y = x @ model.base.w.T + ax @ model.adapter.b.T
     t = _target_matrix(batch.targets, model.base.m, loss_kind)
-    return (_loss(y, t, loss_kind), *_grads(_residual(y, t, loss_kind), x, ax, model.adapter.b))
+    loss = float(_loss(y, t, loss_kind).mean())
+    return (loss, *_grads(_residual(y, t, loss_kind), x, ax, model.adapter.b))
 
 
 def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAdapter:
@@ -190,15 +223,22 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
     w = model.base.w
     lr = cfg.learning_rate
     batch = min(cfg.batch_size, shard.size)
-    chunk = max(1, _CHUNK_ROWS // batch) * batch
+    # Whole batches of about BLOCK_ROWS rows (at least one batch) per hoisted
+    # base product; the module docstring says why it is bounded.
+    chunk = max(1, BLOCK_ROWS // batch) * batch
+    # One buffer each for a chunk's inputs and base product, reused by every
+    # chunk. The shard's rows were checked to index the pool, so mode="clip"
+    # never clips; the default mode would copy the buffer through a temporary.
+    xs_buf = np.empty((min(chunk, shard.size), shard.xs.shape[1]))
+    base_buf = np.empty((len(xs_buf), model.base.m))
     for epoch in range(cfg.local_epochs):
         order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
         rows = shard.rows[order]
         for chunk_start in range(0, shard.size, chunk):
             idx = rows[chunk_start : chunk_start + chunk]
-            xs = shard.xs[idx]
+            xs = shard.xs.take(idx, axis=0, out=xs_buf[: len(idx)], mode="clip")
             ts = _target_matrix(shard.ys[idx], model.base.m, cfg.loss)
-            base_ys = xs @ w.T
+            base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
             for start in range(0, len(idx), batch):
                 x = xs[start : start + batch]
                 ax = x @ a.T
@@ -213,6 +253,6 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
 
 
 def evaluate(model: ToyModel, batch: Batch, loss_kind: str = "squared-error") -> float:
-    """Batch-mean loss of the model on a fixed evaluation batch."""
-    _, y = _forward(model.base.w, model.adapter.a, model.adapter.b, batch.inputs)
-    return _loss(y, _target_matrix(batch.targets, model.base.m, loss_kind), loss_kind)
+    """Loss of the model on a fixed evaluation batch: the mean over its rows
+    of each row's loss, formed in row blocks (see ``_mean_row_loss``)."""
+    return _mean_row_loss(model.base, model.adapter, batch.inputs, batch.targets, loss_kind)

@@ -1,9 +1,13 @@
-"""The benchmark's tracer still finds the package functions it wraps.
+"""The benchmark's tracer still finds the package functions it wraps, and
+every benchmark workload still builds its config.
 
 ``perfbench/tracing.py`` wraps florasim from outside the package by module
 and attribute name. A renamed or deleted function is recorded as absent and
 its metrics read 0 without an error, and a call that bypasses a wrapped
 name is not seen at all; these tests make either show in the test suite.
+``perfbench/workloads.py`` builds each workload's config from CLI-style
+overrides, so a renamed config key or a parser regression shows here too,
+not only when the benchmark runs.
 """
 
 from __future__ import annotations
@@ -17,18 +21,19 @@ import pytest
 
 from florasim import ExperimentConfig, compare_strategies
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
+workloads = _load("workloads")
 
 
 def _resolve(module: str, attribute: str):
@@ -61,3 +66,16 @@ def test_a_traced_compare_counts_training_and_aggregation():
     assert metrics["training.local_train.calls"] > 0
     # One aggregate per federated round: 2 strategies x 2 rounds.
     assert metrics["aggregation.aggregate.calls"] == 4
+
+
+@pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED])
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_every_workload_builds_a_valid_config(name, seed):
+    config = workloads.build(name, seed)
+    if workloads.WORKLOADS[name] is None:
+        assert config is None
+        return
+    assert isinstance(config, ExperimentConfig)
+    assert config.seed == seed
+    config.validate()
+    assert config.strategies and config.rounds >= 1

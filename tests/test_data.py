@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from florasim import (
+    Batch,
     ClientShard,
     Dim,
     ExperimentConfig,
+    LoraAdapter,
     SkewSpec,
+    ToyModel,
+    compare_strategies,
+    evaluate,
     gen_task,
     holdout_split,
     partition,
     scaling_factors,
 )
-from florasim.data import argmax_labels
-from florasim.simulation import _build_world
+from florasim.data import BLOCK_ROWS, argmax_labels, row_blocks
+from florasim.simulation import _build_world, _eval_base
 
 DIM = Dim(16, 16)
 ALL_KINDS = [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
@@ -235,6 +240,25 @@ class TestScalingFactors:
 
 
 
+class TestRowBlocks:
+    def test_blocks_cover_the_rows_with_no_single_row_block(self):
+        assert row_blocks(0) == []
+        for count in range(1, 3 * BLOCK_ROWS + 3):
+            blocks = row_blocks(count)
+            assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+            assert blocks[-1][1] == count
+            sizes = [stop - start for start, stop in blocks]
+            assert all(1 <= size <= BLOCK_ROWS + 1 for size in sizes)
+            assert 1 not in sizes or count == 1
+            assert sizes[:-1] == [BLOCK_ROWS] * (len(sizes) - 1)
+
+    def test_a_one_row_tail_joins_the_block_before_it(self):
+        assert row_blocks(1) == [(0, 1)]
+        assert row_blocks(BLOCK_ROWS) == [(0, BLOCK_ROWS)]
+        assert row_blocks(BLOCK_ROWS + 1) == [(0, BLOCK_ROWS + 1)]
+        assert row_blocks(BLOCK_ROWS + 2) == [(0, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS + 2)]
+
+
 class TestClientShard:
     def test_rows_default_to_the_whole_pool(self):
         xs, ys = np.ones((5, 2)), np.zeros((5, 3))
@@ -249,6 +273,20 @@ class TestClientShard:
                 ClientShard(0, xs, ys, np.array(rows, dtype=np.int64))
         with pytest.raises(ValueError):
             ClientShard(0, xs, ys[:4])
+
+
+def traced_peak(fn):
+    """fn's result and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+LOSSES = ["squared-error", "softmax-cross-entropy"]
 
 
 class TestWorldMemory:
@@ -277,3 +315,35 @@ class TestWorldMemory:
             tracemalloc.stop()
         assert np.array_equal(labels, np.argmax(ys, axis=1))
         assert peak <= 0.1 * ys.nbytes, peak / ys.nbytes
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_held_out_evaluation_forms_no_full_size_temporary(self, loss):
+        world = _build_world(ExperimentConfig(m=64, n=64, samples=20_000, loss=loss))
+        eval_bytes = world.eval_set.xs.nbytes
+        gen = np.random.default_rng(3)
+        adapter = LoraAdapter(a=gen.normal(0, 0.1, (16, 64)), b=gen.normal(0, 0.1, (64, 16)))
+        model = ToyModel(world.base, adapter)
+        baseline, peak = traced_peak(lambda: _eval_base(world.base, world.eval_set, loss))
+        assert baseline == world.baseline
+        assert peak <= 0.5 * eval_bytes, peak / eval_bytes
+        loss_value, peak = traced_peak(
+            lambda: evaluate(model, Batch(world.eval_set.xs, world.eval_set.ys), loss)
+        )
+        assert np.isfinite(loss_value) and loss_value != baseline
+        assert peak <= 0.5 * eval_bytes, peak / eval_bytes
+
+    def test_a_softmax_world_stays_near_its_pool(self):
+        config = ExperimentConfig(m=64, n=64, samples=20_000, loss="softmax-cross-entropy")
+        pool_bytes = 2 * config.samples * 64 * 8
+        world, peak = traced_peak(lambda: _build_world(config))
+        assert world.shards[0].size > 0
+        assert peak <= 1.15 * pool_bytes, peak / pool_bytes
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_a_comparison_round_stays_near_its_pool(self, loss):
+        config = ExperimentConfig(m=64, n=64, samples=20_000, rounds=1, loss=loss)
+        pool_bytes = 2 * config.samples * 64 * 8
+        strategies = ["flora", "fedit", "standalone", "centralized"]
+        comparison, peak = traced_peak(lambda: compare_strategies(config, strategies))
+        assert all(len(comparison.reports[s].rounds) == 1 for s in strategies)
+        assert peak <= 1.15 * pool_bytes, peak / pool_bytes

@@ -15,6 +15,7 @@ from florasim import (
     ExperimentConfig,
     LoraAdapter,
     WeightedUpdate,
+    adapter_delta,
     apply_updates,
     compare_strategies,
     fedit_noise,
@@ -122,9 +123,11 @@ class TestRunRound:
             WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 0.5),
             WeightedUpdate(LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]), 0.5),
         ]
-        merged, aggregate = apply_updates(base, updates, "flora")
+        merged, aggregate, delta = apply_updates(base, updates, "flora")
         assert merged.w.tolist() == [[2.0, 2.0], [3.0, 6.0]]
         assert aggregate.rank == 2
+        assert delta.tobytes() == adapter_delta(aggregate).tobytes()
+        assert merged.w.tobytes() == (base.w + delta).tobytes()
 
     def test_merge_rejects_an_update_of_another_shape(self):
         # A 1x2 update would broadcast over every row of a 3x2 base.
@@ -140,14 +143,14 @@ class TestRunRound:
             WeightedUpdate(init_adapter(base.dim, 2, InitPolicy(seed=s)), w)
             for s, w in [(1, 0.25), (2, 0.75)]
         ]
-        merged, _ = apply_updates(base, updates, strategy)
+        merged, _, _ = apply_updates(base, updates, strategy)
         assert merged.w.tobytes() == base.w.tobytes()
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
     def test_merge_leaves_the_given_base_untouched(self, strategy):
         base = BaseWeights(np.eye(2))
         update = WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 1.0)
-        merged, _ = apply_updates(base, [update], strategy)
+        merged, _, _ = apply_updates(base, [update], strategy)
         assert merged.w.tolist() == [[3.0, 0.0], [0.0, 1.0]]
         assert np.array_equal(base.w, np.eye(2))
         assert not merged.w.flags.writeable
@@ -160,9 +163,10 @@ class TestRunRound:
             WeightedUpdate(LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]), 0.5),
         ]
         for strategy in ("fedit", "zero_padding"):
-            merged, aggregate = apply_updates(base, updates, strategy)
+            merged, aggregate, delta = apply_updates(base, updates, strategy)
             assert merged.w.tolist() == [[0.5, 1.0], [0.5, 1.0]]
             assert aggregate.rank == 1
+            assert delta.tolist() == merged.w.tolist()
 
     @pytest.mark.parametrize("strategy", ["standalone", "centralized", "full_ft"])
     def test_merge_rejects_a_strategy_without_aggregation(self, strategy):

@@ -23,7 +23,9 @@ from florasim import (
     local_train,
     loss_and_grads,
 )
+from florasim.data import BLOCK_ROWS, EvalSet, row_blocks
 from florasim.rng import derive_seed
+from florasim.simulation import _eval_base
 from florasim.training import LOSS_KINDS, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
@@ -252,6 +254,82 @@ class TestSoftmaxLoss:
         g = probs - onehot
         assert np.array_equal(d_b, g.T @ (x @ model.adapter.a.T) / 5)
         assert np.array_equal(d_a, (g @ model.adapter.b).T @ x / 5)
+
+
+def whole_array_loss(w, adapter, xs, targets, loss_kind):
+    """The held-out loss formed over the whole array at once, the reference
+    that evaluation in row blocks must match."""
+    y = xs @ w.T
+    if adapter is not None:
+        y = y + (xs @ adapter.a.T) @ adapter.b.T
+    if loss_kind == "squared-error":
+        return float(0.5 * ((y - targets) ** 2).sum() / len(y))
+    onehot = np.zeros_like(y)
+    onehot[np.arange(len(y)), targets] = 1.0
+    shifted = y - y.max(axis=1, keepdims=True)
+    return float((np.log(np.exp(shifted).sum(axis=1)) - (shifted * onehot).sum(axis=1)).mean())
+
+
+class TestBlockedEvaluation:
+    """The held-out loss goes through the rows in blocks of BLOCK_ROWS; it
+    must equal the whole-array formula at every block boundary.
+
+    The bare base's outputs x w^T are the same bits in a block as in the
+    whole array, so its softmax loss is byte-equal. With an adapter the thin
+    product x a^T is not: OpenBLAS picks its kernel for a (count, n) x (n, r)
+    product by size (at n=64, r=4 a product of 320 or more rows differs in
+    the last bit from the same rows taken 256 at a time), so past one block
+    both losses are held to a few ulp instead.
+    """
+
+    @staticmethod
+    def held_out(count, dim, loss_kind, seed):
+        gen = np.random.default_rng(seed)
+        w = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, dim))
+        a, b = gen.normal(0.0, 0.3, size=(4, dim)), gen.normal(0.0, 0.3, size=(dim, 4))
+        xs = gen.normal(size=(count, dim))
+        if loss_kind == "squared-error":
+            targets = gen.normal(size=(count, dim))
+        else:
+            targets = gen.integers(0, dim, size=count)
+        return BaseWeights(w), LoraAdapter(a=a, b=b), xs, targets
+
+    @staticmethod
+    def assert_matches(got, reference, exact):
+        if exact:
+            assert np.float64(got).tobytes() == np.float64(reference).tobytes()
+        else:
+            # A mean of row sums is not numpy's pairwise sum over the flat array.
+            assert abs(got - reference) <= 4 * EPS * abs(reference), (got, reference)
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    @pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 513, 4000])
+    def test_matches_the_whole_array_loss(self, count, dim, loss_kind):
+        base, adapter, xs, targets = self.held_out(count, dim, loss_kind, seed=count * 1000 + dim)
+        softmax = loss_kind == "softmax-cross-entropy"
+        bare = _eval_base(base, EvalSet(xs, targets), loss_kind)
+        reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
+        self.assert_matches(bare, reference, exact=softmax)
+        adapted = evaluate(ToyModel(base, adapter), Batch(xs, targets), loss_kind)
+        reference = whole_array_loss(base.w, adapter, xs, targets, loss_kind)
+        self.assert_matches(adapted, reference, exact=softmax and len(row_blocks(count)) == 1)
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    def test_one_row_tail_joins_the_full_block_before_it(self, loss_kind):
+        # Two full blocks and one more row: no block is a single row, which
+        # would go through gemv.
+        count = 2 * BLOCK_ROWS + 1
+        assert row_blocks(count) == [(0, BLOCK_ROWS), (BLOCK_ROWS, count)]
+        base, adapter, xs, targets = self.held_out(count, 64, loss_kind, seed=77)
+        bare = _eval_base(base, EvalSet(xs, targets), loss_kind)
+        reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
+        self.assert_matches(bare, reference, exact=loss_kind == "softmax-cross-entropy")
+        # The tail row scores as it does on its own, and the rest as the rest.
+        got = evaluate(ToyModel(base, adapter), Batch(xs, targets), loss_kind)
+        head = evaluate(ToyModel(base, adapter), Batch(xs[:-1], targets[:-1]), loss_kind)
+        tail = whole_array_loss(base.w, adapter, xs[-1:], targets[-1:], loss_kind)
+        assert got == pytest.approx((head * (count - 1) + tail) / count, rel=1e-12)
 
 
 class TestOneStepIdentity:
