@@ -7,7 +7,6 @@ choice does to the global update, the loss, and the bytes on the wire.
 """
 
 from .aggregation import (
-    NoiseReport,
     WeightedUpdate,
     aggregate_fedit,
     aggregate_flora,
@@ -26,9 +25,8 @@ from .comm import (
 )
 from .config import ExperimentConfig, PRESETS, config_to_text, parse_config
 from .data import (
+    Batch,
     ClientShard,
-    EvalSet,
-    GlobalTask,
     SkewSpec,
     gen_task,
     holdout_split,
@@ -47,15 +45,13 @@ from .lora import (
 )
 from .simulation import (
     ClientRuntime,
-    ComparisonReport,
-    ExperimentReport,
     ServerState,
     apply_updates,
     compare_strategies,
     run_experiment,
     run_round,
 )
-from .training import Batch, ToyModel, TrainConfig, evaluate, local_train, loss_and_grads
+from .training import ToyModel, TrainConfig, evaluate, local_train, loss_and_grads
 
 __version__ = "0.1.0"
 
@@ -66,18 +62,13 @@ __all__ = [
     "ClientShard",
     "CommEvent",
     "CommLedger",
-    "ComparisonReport",
     "ConfigError",
     "Dim",
     "DivergenceError",
-    "EvalSet",
     "ExperimentConfig",
-    "ExperimentReport",
-    "GlobalTask",
     "HeterogeneousRankError",
     "InitPolicy",
     "LoraAdapter",
-    "NoiseReport",
     "PRESETS",
     "ReportRow",
     "ServerState",

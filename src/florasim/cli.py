@@ -83,6 +83,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if run_all() else 1
 
         config = _config_from_args(args)
+        # Every report goes beside config.out; a missing directory fails now,
+        # not after the last round.
+        out_dir = Path(config.out).parent
+        if not out_dir.is_dir():
+            raise ConfigError([f"out: directory {str(out_dir)!r} of {config.out!r} does not exist"])
         if args.command == "run":
             report = run_experiment(config)
             emit_report(report, config.out)

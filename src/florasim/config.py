@@ -178,7 +178,7 @@ def parse_config(
     if path is not None:
         try:
             layers.append(read_config_text(Path(path).read_text(encoding="utf-8")))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     if overrides:
         layers.append({k: v for k, v in overrides.items() if v is not None})

@@ -3,8 +3,9 @@
 The global task is a linear teacher: targets are y = w_star x + noise, and
 the pre-trained base w sits a low-rank perturbation away from w_star, so a
 sufficiently ranked adapter can close the gap exactly. The generated sample
-pool is the only copy of the data: its arrays are read-only, and a client
-shard is a list of row indices into them. Whole-pool work goes through the
+pool is the only copy of the data: its arrays are read-only, a client
+shard is a list of row indices into them, and the held-out set is a
+``Batch`` of the pool's tail rows. Whole-pool work goes through the
 rows in blocks (``row_blocks``): task targets here, labels, and the held-out
 loss in ``training``, so no full-size temporary sits beside the pool.
 
@@ -122,6 +123,29 @@ class ClientShard:
 
 
 @dataclass(frozen=True)
+class Batch:
+    """Inputs (count x n) with regression targets (count x m) or class indices."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self) -> None:
+        inputs = np.asarray(self.inputs, dtype=np.float64)
+        targets = np.asarray(self.targets)
+        if inputs.ndim != 2 or len(inputs) < 1:
+            raise ValueError("batch inputs must be a nonempty (count, n) array")
+        if len(targets) != len(inputs):
+            raise ValueError(
+                f"batch has {len(inputs)} inputs but {len(targets)} targets"
+            )
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "targets", targets)
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+
+@dataclass(frozen=True)
 class SkewSpec:
     """Partition heterogeneity: a kind, a strength, and its own seed."""
 
@@ -186,8 +210,9 @@ def argmax_labels(ys: np.ndarray) -> np.ndarray:
     )
 
 
-def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalTask, "EvalSet"]:
-    """Split the sample pool into a train task and a held-out evaluation set.
+def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalTask, Batch]:
+    """Split the sample pool into a train task and a held-out ``Batch`` that
+    no client is ever handed.
 
     Samples are i.i.d. by construction, so the tail slice is an unbiased
     holdout and keeps the split deterministic.
@@ -206,18 +231,7 @@ def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalT
         xs=task.xs[:cut],
         ys=task.ys[:cut],
     )
-    return train, EvalSet(xs=task.xs[cut:], ys=task.ys[cut:])
-
-
-@dataclass(frozen=True)
-class EvalSet:
-    """Held-out (xs, ys) never handed to any client."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.xs)
+    return train, Batch(task.xs[cut:], task.ys[cut:])
 
 
 def _shard_sizes(total: int, k_clients: int, spec: SkewSpec, gen: np.random.Generator) -> list[int]:

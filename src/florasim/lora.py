@@ -119,7 +119,6 @@ class InitPolicy:
 
     kind: str = "zero-delta-gaussian"
     std_or_bound: float = 0.01
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in INIT_KINDS:
@@ -128,15 +127,16 @@ class InitPolicy:
             raise ValueError(f"std_or_bound must be finite and >= 0, got {self.std_or_bound}")
 
 
-def init_adapter(dim: Dim, rank: int, policy: InitPolicy) -> LoraAdapter:
-    """Fresh adapter: a drawn per policy from a seeded generator, b all zeros.
+def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdapter:
+    """Fresh adapter: a drawn per policy from a generator seeded with ``seed``
+    (taken modulo 2**64), b all zeros.
 
-    Deterministic for a fixed (dim, rank, policy): two calls with the same
+    Deterministic for fixed (dim, rank, policy, seed): two calls with the same
     arguments produce bit-identical adapters.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    gen = np.random.default_rng(policy.seed & ((1 << 64) - 1))
+    gen = np.random.default_rng(seed & ((1 << 64) - 1))
     if policy.kind == "zero-delta-gaussian":
         a = gen.normal(0.0, policy.std_or_bound, size=(rank, dim.n))
     else:

@@ -37,8 +37,8 @@ from .aggregation import (
 )
 from .comm import CommLedger, ReportRow, charge_round
 from .data import (
+    Batch,
     ClientShard,
-    EvalSet,
     SkewSpec,
     argmax_labels,
     gen_task,
@@ -49,7 +49,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import Batch, ToyModel, TrainConfig, _mean_row_loss, evaluate, local_train
+from .training import ToyModel, TrainConfig, _mean_row_loss, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
@@ -134,11 +134,6 @@ class ComparisonReport:
         return [row for s in self.strategies for row in self.reports[s].to_rows()]
 
 
-def _eval_base(base: BaseWeights, eval_set: EvalSet, loss: str) -> float:
-    """Held-out loss of the bare base, in row blocks like ``training.evaluate``."""
-    return _mean_row_loss(base, None, eval_set.xs, eval_set.ys, loss)
-
-
 def _train(
     server: ServerState,
     strategy: str,
@@ -151,9 +146,8 @@ def _train(
     """
     trained, diverged = [], []
     for client_id, shard, adapter, seed in jobs:
-        cfg = replace(train_cfg, seed=seed)
         try:
-            trained.append(local_train(ToyModel(server.base, adapter), shard, cfg))
+            trained.append(local_train(ToyModel(server.base, adapter), shard, train_cfg, seed))
         except FloatingPointError:
             diverged.append(client_id)
     if diverged == [None]:
@@ -208,7 +202,7 @@ def run_round(
     clients: list[ClientRuntime],
     strategy: str,
     train_cfg: TrainConfig,
-    eval_set: EvalSet,
+    held_out: Batch,
     *,
     init_policy: InitPolicy = InitPolicy(),
     scaling_override: float | None = None,
@@ -230,7 +224,7 @@ def run_round(
         (
             c.client_id,
             c.shard,
-            init_adapter(dim, c.rank, replace(init_policy, seed=derive_seed(c.seed, t, _TAG_INIT))),
+            init_adapter(dim, c.rank, init_policy, derive_seed(c.seed, t, _TAG_INIT)),
             derive_seed(c.seed, t, _TAG_TRAIN),
         )
         for c in clients
@@ -255,14 +249,14 @@ def run_round(
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
         noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
-        loss = _eval_base(server.base, eval_set, train_cfg.loss)
+        loss = _mean_row_loss(server.base, None, held_out.inputs, held_out.targets, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
     return _close_round(server, strategy, loss, noise, traffic)
 
 
 @dataclass(frozen=True)
 class _World:
-    """The data of one experiment: initial base, shards, held-out set, baseline.
+    """The data of one experiment: initial base, shards, held-out batch, baseline.
 
     Nothing here changes during a run (the arrays are read-only), so one
     world serves every strategy of a comparison; each run draws its own
@@ -271,7 +265,7 @@ class _World:
 
     base: BaseWeights
     shards: list[ClientShard]
-    eval_set: EvalSet
+    held_out: Batch
     baseline: float
 
 
@@ -279,14 +273,15 @@ def _build_world(config) -> _World:
     """Task, holdout, shards and baseline loss from a validated config."""
     dim = Dim(config.m, config.n)
     task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
-    train_task, eval_set = holdout_split(task, EVAL_FRACTION)
+    train_task, held = holdout_split(task, EVAL_FRACTION)
     spec = SkewSpec(config.skew, config.skew_strength, derive_seed(config.seed, _TAG_PARTITION))
     shards = partition(train_task, config.clients, spec)
     if config.loss == "softmax-cross-entropy":
         labels = argmax_labels(train_task.ys)
         shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
-        eval_set = EvalSet(eval_set.xs, argmax_labels(eval_set.ys))
-    return _World(task.base, shards, eval_set, _eval_base(task.base, eval_set, config.loss))
+        held = Batch(held.inputs, argmax_labels(held.targets))
+    baseline = _mean_row_loss(task.base, None, held.inputs, held.targets, config.loss)
+    return _World(task.base, shards, held, baseline)
 
 
 def _participants(
@@ -303,31 +298,29 @@ def _participants(
 def run_experiment(config) -> ExperimentReport:
     """Build the task, run all rounds under config.strategy, report metrics."""
     config.validate()
-    return _run(config, _build_world(config))
+    return _run(config, config.strategy, _build_world(config))
 
 
-def _run(config, world: _World) -> ExperimentReport:
-    """All rounds of config.strategy on a new server and clients drawn from the world."""
+def _run(config, strategy: str, world: _World) -> ExperimentReport:
+    """All rounds of one strategy on a new server and clients drawn from the world."""
     server = ServerState(base=world.base)
     clients = [
         ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
         for i in range(config.clients)
     ]
-    strategy = config.strategy
     train_cfg = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
         local_epochs=config.epochs,
         loss=config.loss,
-        seed=0,
     )
-    init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std, seed=0)
+    init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
     dim = world.base.dim
     # The references carry their adapters across rounds: standalone one per
     # client, centralized one of the largest rank trained on the pooled data.
     if strategy == "standalone":
         adapters = [
-            init_adapter(dim, c.rank, replace(init_policy, seed=derive_seed(c.seed, 0, _TAG_INIT)))
+            init_adapter(dim, c.rank, init_policy, derive_seed(c.seed, 0, _TAG_INIT))
             for c in clients
         ]
     elif strategy == "centralized":
@@ -336,7 +329,7 @@ def _run(config, world: _World) -> ExperimentReport:
         pool = world.shards[0]
         pooled = ClientShard(0, pool.xs, pool.ys, np.concatenate([s.rows for s in world.shards]))
         seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
-        adapters = [init_adapter(dim, max(config.ranks), replace(init_policy, seed=seed))]
+        adapters = [init_adapter(dim, max(config.ranks), init_policy, seed)]
 
     rounds: list[ReportRow] = []
     for t in range(config.rounds):
@@ -347,7 +340,7 @@ def _run(config, world: _World) -> ExperimentReport:
                 active,
                 strategy,
                 train_cfg,
-                world.eval_set,
+                world.held_out,
                 init_policy=init_policy,
                 scaling_override=config.scaling_override,
             )
@@ -362,8 +355,9 @@ def _run(config, world: _World) -> ExperimentReport:
                 jobs = [(None, pooled, adapters[0], seed)]
             with np.errstate(**_QUIET):
                 adapters = _train(server, strategy, train_cfg, jobs)
-                batch = Batch(world.eval_set.xs, world.eval_set.ys)
-                losses = [evaluate(ToyModel(server.base, a), batch, config.loss) for a in adapters]
+                losses = [
+                    evaluate(ToyModel(server.base, a), world.held_out, config.loss) for a in adapters
+                ]
             traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
             row = _close_round(server, strategy, float(np.mean(losses)), None, traffic)
         if row.global_loss > DIVERGENCE_RATIO * world.baseline:
@@ -392,5 +386,5 @@ def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
         raise ConfigError(["strategies: need at least one strategy to compare"])
     replace(config, strategies=tuple(strategies)).validate()
     world = _build_world(config)
-    reports = {s: _run(replace(config, strategy=s), world) for s in strategies}
+    reports = {s: _run(config, s, world) for s in strategies}
     return ComparisonReport(seed=config.seed, strategies=tuple(strategies), reports=reports)

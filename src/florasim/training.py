@@ -52,11 +52,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BLOCK_ROWS, ClientShard, row_blocks
+from .data import BLOCK_ROWS, Batch, ClientShard, row_blocks
 from .lora import BaseWeights, LoraAdapter
 from .rng import derive_seed
 
 LOSS_KINDS = ("squared-error", "softmax-cross-entropy")
+
+
+def _check_loss(loss_kind: str) -> None:
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {loss_kind!r}, expected one of {LOSS_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -76,20 +81,17 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Mini-batch SGD settings for one client's local pass.
+    """Mini-batch SGD settings shared by every client's local pass.
 
     learning_rate 0 is allowed and makes training a no-op, which is handy for
-    exercising the surrounding protocol. Batch order reshuffles every epoch
-    from a seed derived as (seed, epoch); callers fold client and round into
-    ``seed`` so concurrent clients and successive rounds draw independent
-    streams.
+    exercising the surrounding protocol. The shuffling seed is not a setting:
+    each ``local_train`` call takes its own.
     """
 
     learning_rate: float = 3e-4
     batch_size: int = 32
     local_epochs: int = 1
     loss: str = "squared-error"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
@@ -98,36 +100,17 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.local_epochs < 1:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSS_KINDS}")
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Inputs (count x n) with regression targets (count x m) or class indices."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets)
-        if inputs.ndim != 2 or len(inputs) < 1:
-            raise ValueError("batch inputs must be a nonempty (count, n) array")
-        if len(targets) != len(inputs):
-            raise ValueError(
-                f"batch has {len(inputs)} inputs but {len(targets)} targets"
-            )
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
-
-    def __len__(self) -> int:
-        return len(self.inputs)
+        _check_loss(self.loss)
 
 
 def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
     """Float targets the residual subtracts: the values themselves for squared
-    error, one-hot rows of the class indices for softmax cross-entropy."""
+    error, one-hot rows of the class indices for softmax cross-entropy.
+
+    Every loss path (``evaluate``, the bare-base held-out loss,
+    ``loss_and_grads`` and ``local_train``) forms its targets here, so this
+    is where an unknown loss name is rejected."""
+    _check_loss(loss_kind)
     if loss_kind == "squared-error":
         return np.asarray(targets, dtype=np.float64)
     labels = np.asarray(targets)
@@ -196,8 +179,6 @@ def loss_and_grads(
     model: ToyModel, batch: Batch, loss_kind: str = "squared-error"
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean loss and gradients (loss, d_a, d_b) at the current adapter."""
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {loss_kind!r}, expected one of {LOSS_KINDS}")
     x = batch.inputs
     if x.shape[1] != model.base.n:
         raise ValueError(f"batch inputs have {x.shape[1]} features, model expects {model.base.n}")
@@ -209,12 +190,15 @@ def loss_and_grads(
     return (loss, *_grads(_residual(y, t, loss_kind), x, ax, model.adapter.b))
 
 
-def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAdapter:
+def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int) -> LoraAdapter:
     """Run local_epochs of seeded-shuffled mini-batch SGD; return the adapter.
 
-    The base stays frozen. Shards smaller than batch_size fall back to
-    full-batch steps. Deterministic for fixed (model, shard, cfg). Raises
-    FloatingPointError if SGD diverges to non-finite factors.
+    Each epoch reshuffles the shard from ``derive_seed(seed, epoch)``; callers
+    fold client and round into ``seed`` so clients and rounds draw
+    independent streams. The base stays frozen. Shards smaller than
+    batch_size fall back to full-batch steps. Deterministic for fixed
+    (model, shard, cfg, seed). Raises FloatingPointError if SGD diverges to
+    non-finite factors.
     """
     if shard.size < 1:
         raise ValueError("cannot train on an empty shard")
@@ -232,7 +216,7 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig) -> LoraAd
     xs_buf = np.empty((min(chunk, shard.size), shard.xs.shape[1]))
     base_buf = np.empty((len(xs_buf), model.base.m))
     for epoch in range(cfg.local_epochs):
-        order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
+        order = np.random.default_rng(derive_seed(seed, epoch)).permutation(shard.size)
         rows = shard.rows[order]
         for chunk_start in range(0, shard.size, chunk):
             idx = rows[chunk_start : chunk_start + chunk]

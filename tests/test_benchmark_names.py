@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from florasim import ExperimentConfig, compare_strategies
+from florasim.simulation import STRATEGIES, _build_world
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,6 +67,26 @@ def test_a_traced_compare_counts_training_and_aggregation():
     assert metrics["training.local_train.calls"] > 0
     # One aggregate per federated round: 2 strategies x 2 rounds.
     assert metrics["aggregation.aggregate.calls"] == 4
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_traced_run_counts_every_sgd_sample(strategy):
+    # The counter reads shard.size and cfg.batch_size from local_train's first
+    # three positional arguments. Under full participation every strategy
+    # passes over all training rows once per epoch: each client its own
+    # shard, or the centralized reference the pooled one.
+    config = ExperimentConfig(
+        m=8, n=8, clients=3, ranks=(2, 2, 2), rounds=3, epochs=2, samples=120, teacher_rank=2, seed=5
+    )
+    training_rows = sum(shard.size for shard in _build_world(config).shards)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        compare_strategies(config, [strategy])
+    finally:
+        tracer.uninstall()
+    samples = tracer.metrics()["training.sgd_samples"]
+    assert samples == config.rounds * config.epochs * training_rows == 3 * 2 * 96
 
 
 @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED])

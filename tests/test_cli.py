@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import florasim
-from florasim import ConfigError, ExperimentConfig, read_report
+from florasim import ConfigError, ExperimentConfig, cli, read_report
 from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
 from florasim.data import SKEW_KINDS
@@ -280,7 +280,10 @@ class TestMain:
         assert code == 1
 
     def test_runtime_failure_exits_two(self, tmp_path):
-        target = tmp_path / "no-such-dir" / "out.csv"
+        # The report's directory exists, but the report path is a directory
+        # too, so writing it fails only after the run.
+        target = tmp_path / "out.csv"
+        target.mkdir()
         code = main(
             [
                 "run",
@@ -294,6 +297,31 @@ class TestMain:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, runner",
+        [("run", "run_experiment"), ("compare", "compare_strategies"), ("sweep-scaling", "run_experiment")],
+    )
+    def test_missing_out_directory_exits_one_before_any_round(
+        self, tmp_path, capsys, monkeypatch, command, runner
+    ):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, runner, no_rounds)
+        target = tmp_path / "no-such-dir" / "out.csv"
+        code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out:") and str(target.parent) in err
+
+    def test_undecodable_config_file_exits_one_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"\xff\xfe rounds = 2\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot read") and str(path) in err
 
     def test_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys):
         with np.errstate(all="ignore"):

@@ -23,7 +23,8 @@ from florasim import (
     scaling_factors,
 )
 from florasim.data import BLOCK_ROWS, argmax_labels, row_blocks
-from florasim.simulation import _build_world, _eval_base
+from florasim.simulation import _build_world
+from florasim.training import _mean_row_loss
 
 DIM = Dim(16, 16)
 ALL_KINDS = [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
@@ -99,9 +100,9 @@ class TestHoldoutSplit:
         task = gen_task(DIM, 1000, 0.0, seed=15)
         train, evalset = holdout_split(task, 0.2)
         assert train.size == 800
-        assert len(evalset) == 200
-        assert sample_keys(train.xs) | sample_keys(evalset.xs) == sample_keys(task.xs)
-        assert sample_keys(train.xs) & sample_keys(evalset.xs) == set()
+        assert isinstance(evalset, Batch) and len(evalset) == 200
+        assert sample_keys(train.xs) | sample_keys(evalset.inputs) == sample_keys(task.xs)
+        assert sample_keys(train.xs) & sample_keys(evalset.inputs) == set()
 
     def test_rejects_degenerate_fraction(self):
         task = gen_task(DIM, 20, 0.0, seed=15)
@@ -319,15 +320,18 @@ class TestWorldMemory:
     @pytest.mark.parametrize("loss", LOSSES)
     def test_held_out_evaluation_forms_no_full_size_temporary(self, loss):
         world = _build_world(ExperimentConfig(m=64, n=64, samples=20_000, loss=loss))
-        eval_bytes = world.eval_set.xs.nbytes
+        held = world.held_out
+        eval_bytes = held.inputs.nbytes
         gen = np.random.default_rng(3)
         adapter = LoraAdapter(a=gen.normal(0, 0.1, (16, 64)), b=gen.normal(0, 0.1, (64, 16)))
         model = ToyModel(world.base, adapter)
-        baseline, peak = traced_peak(lambda: _eval_base(world.base, world.eval_set, loss))
+        baseline, peak = traced_peak(
+            lambda: _mean_row_loss(world.base, None, held.inputs, held.targets, loss)
+        )
         assert baseline == world.baseline
         assert peak <= 0.5 * eval_bytes, peak / eval_bytes
         loss_value, peak = traced_peak(
-            lambda: evaluate(model, Batch(world.eval_set.xs, world.eval_set.ys), loss)
+            lambda: evaluate(model, held, loss)
         )
         assert np.isfinite(loss_value) and loss_value != baseline
         assert peak <= 0.5 * eval_bytes, peak / eval_bytes

@@ -25,24 +25,24 @@ def _random_adapter(gen, m, n, r):
 class TestInit:
     @pytest.mark.parametrize("kind", ["zero-delta-gaussian", "zero-delta-uniform"])
     def test_fresh_adapter_has_exactly_zero_delta(self, kind):
-        adapter = init_adapter(Dim(2, 2), 1, InitPolicy(kind=kind, std_or_bound=0.3, seed=5))
+        adapter = init_adapter(Dim(2, 2), 1, InitPolicy(kind=kind, std_or_bound=0.3), 5)
         assert np.array_equal(adapter_delta(adapter), np.zeros((2, 2)))
 
     def test_same_seed_is_bit_identical(self):
-        policy = InitPolicy(seed=99)
-        first = init_adapter(Dim(6, 4), 3, policy)
-        second = init_adapter(Dim(6, 4), 3, policy)
+        policy = InitPolicy()
+        first = init_adapter(Dim(6, 4), 3, policy, 99)
+        second = init_adapter(Dim(6, 4), 3, policy, 99)
         assert first.a.tobytes() == second.a.tobytes()
         assert first.b.tobytes() == second.b.tobytes()
 
     def test_attention_scale_shapes(self):
-        adapter = init_adapter(Dim(4096, 4096), 16, InitPolicy(seed=0))
+        adapter = init_adapter(Dim(4096, 4096), 16, InitPolicy(), 0)
         assert adapter.a.shape == (16, 4096)
         assert adapter.b.shape == (4096, 16)
 
     def test_rejects_zero_rank_and_bad_dims(self):
         with pytest.raises(ValueError):
-            init_adapter(Dim(2, 2), 0, InitPolicy())
+            init_adapter(Dim(2, 2), 0, InitPolicy(), 0)
         with pytest.raises(ValueError):
             Dim(0, 2)
         with pytest.raises(ValueError):

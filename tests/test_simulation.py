@@ -29,7 +29,7 @@ from florasim.data import scaling_factors
 from florasim.lora import InitPolicy, init_adapter
 from florasim.rng import derive_seed
 from florasim.simulation import _TAG_INIT, _TAG_TRAIN, ClientRuntime, ServerState, _build_world
-from florasim.training import Batch, ToyModel, TrainConfig, evaluate, local_train
+from florasim.training import ToyModel, TrainConfig, evaluate, local_train
 from test_aggregation import hand_padded
 
 EPS = float(np.finfo(np.float64).eps)
@@ -53,17 +53,16 @@ def fresh_world(config):
         ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
         for i in range(config.clients)
     ]
-    return ServerState(base=world.base), clients, world.eval_set
+    return ServerState(base=world.base), clients, world.held_out
 
 
 def first_round_uploads(server, clients, cfg, policy):
     """Every client's round-0 upload, derived independently of run_round."""
     uploads = []
     for c in clients:
-        seeded = replace(policy, seed=derive_seed(c.seed, 0, _TAG_INIT))
-        adapter = init_adapter(server.base.dim, c.rank, seeded)
-        train_cfg = replace(cfg, seed=derive_seed(c.seed, 0, _TAG_TRAIN))
-        uploads.append(local_train(ToyModel(server.base, adapter), c.shard, train_cfg))
+        adapter = init_adapter(server.base.dim, c.rank, policy, derive_seed(c.seed, 0, _TAG_INIT))
+        train_seed = derive_seed(c.seed, 0, _TAG_TRAIN)
+        uploads.append(local_train(ToyModel(server.base, adapter), c.shard, cfg, train_seed))
     return uploads
 
 
@@ -73,7 +72,7 @@ class TestRunRound:
         for strategy in ("flora", "fedit", "zero_padding"):
             config = with_overrides(SMALL, clients=1, ranks=(2,), strategy=strategy)
             server, clients, eval_set = fresh_world(config)
-            run_round(server, clients, strategy, TrainConfig(seed=0), eval_set)
+            run_round(server, clients, strategy, TrainConfig(), eval_set)
             results[strategy] = server.base.w
         for strategy in ("fedit", "zero_padding"):
             gap = np.abs(results[strategy] - results["flora"]).max()
@@ -84,12 +83,12 @@ class TestRunRound:
         config = with_overrides(SMALL, strategy=strategy, lr=0.0)
         server, clients, eval_set = fresh_world(config)
         before = server.base.w.tobytes()
-        run_round(server, clients, strategy, TrainConfig(learning_rate=0.0, seed=0), eval_set)
+        run_round(server, clients, strategy, TrainConfig(learning_rate=0.0), eval_set)
         assert server.base.w.tobytes() == before
 
     def test_flora_round_merges_exact_weighted_sum(self):
         server, clients, eval_set = fresh_world(SMALL)
-        cfg = TrainConfig(seed=0)
+        cfg = TrainConfig()
         policy = InitPolicy()
         # Reproduce the uploads through the same deterministic derivation.
         adapters = first_round_uploads(server, clients, cfg, policy)
@@ -104,7 +103,7 @@ class TestRunRound:
 
     def test_fedit_round_bias_decomposition(self):
         server, clients, eval_set = fresh_world(SMALL)
-        cfg = TrainConfig(seed=0)
+        cfg = TrainConfig()
         policy = InitPolicy()
         adapters = first_round_uploads(server, clients, cfg, policy)
         total = sum(c.shard.size for c in clients)
@@ -140,7 +139,7 @@ class TestRunRound:
         # A fresh adapter's b is zero, so every aggregate's update is exactly zero.
         base = BaseWeights(np.array([[1.0, 0.5], [-2.0, 3.0]]))
         updates = [
-            WeightedUpdate(init_adapter(base.dim, 2, InitPolicy(seed=s)), w)
+            WeightedUpdate(init_adapter(base.dim, 2, InitPolicy(), s), w)
             for s, w in [(1, 0.25), (2, 0.75)]
         ]
         merged, _, _ = apply_updates(base, updates, strategy)
@@ -177,27 +176,27 @@ class TestRunRound:
     def test_empty_round_rejected(self):
         server, _, eval_set = fresh_world(SMALL)
         with pytest.raises(ConfigError):
-            run_round(server, [], "flora", TrainConfig(seed=0), eval_set)
+            run_round(server, [], "flora", TrainConfig(), eval_set)
 
     def test_fedit_rejects_mixed_ranks_before_training(self):
         config = with_overrides(SMALL, ranks=(1, 2, 3))
         server, clients, eval_set = fresh_world(config)
         before = server.round
         with pytest.raises(ConfigError):
-            run_round(server, clients, "fedit", TrainConfig(seed=0), eval_set)
+            run_round(server, clients, "fedit", TrainConfig(), eval_set)
         assert server.round == before
         assert server.ledger.events == []
 
     def test_noise_metric_only_for_averaging_strategies(self):
         for strategy, expect_noise in (("flora", False), ("fedit", True), ("zero_padding", True)):
             server, clients, eval_set = fresh_world(with_overrides(SMALL, strategy=strategy))
-            row = run_round(server, clients, strategy, TrainConfig(seed=0), eval_set)
+            row = run_round(server, clients, strategy, TrainConfig(), eval_set)
             assert (row.relative_noise is not None) == expect_noise
 
     def test_zero_padding_noise_is_that_of_the_hand_padded_uploads(self):
         config = with_overrides(SMALL, ranks=(1, 2, 3), strategy="zero_padding")
         server, clients, eval_set = fresh_world(config)
-        cfg, policy = TrainConfig(seed=0), InitPolicy()
+        cfg, policy = TrainConfig(), InitPolicy()
         adapters = first_round_uploads(server, clients, cfg, policy)
         weights = scaling_factors([c.shard for c in clients])
         expected = fedit_noise(hand_padded([WeightedUpdate(a, w) for a, w in zip(adapters, weights)]))
@@ -207,7 +206,7 @@ class TestRunRound:
 
     def test_scaling_override_replaces_data_weights(self):
         server, clients, eval_set = fresh_world(SMALL)
-        cfg = TrainConfig(seed=0)
+        cfg = TrainConfig()
         policy = InitPolicy()
         adapters = first_round_uploads(server, clients, cfg, policy)
         updates = [WeightedUpdate(a, 0.05) for a in adapters]
@@ -276,10 +275,9 @@ class TestRunExperiment:
         config = with_overrides(SMALL, client_fraction=0.5, clients=4, ranks=(2, 2, 2, 2))
         report = run_experiment(config)
         # The base-only evaluation is the adapter path with a zero adapter, bit for bit.
-        server, _, eval_set = fresh_world(config)
+        server, _, held_out = fresh_world(config)
         zero = LoraAdapter(a=np.zeros((1, config.n)), b=np.zeros((config.m, 1)))
-        batch = Batch(eval_set.xs, eval_set.ys)
-        assert evaluate(ToyModel(server.base, zero), batch) == report.baseline_loss
+        assert evaluate(ToyModel(server.base, zero), held_out) == report.baseline_loss
 
     def test_mean_client_loss_is_global_loss_on_every_row(self):
         config = with_overrides(SMALL, client_fraction=0.7, clients=10, ranks=(2,) * 10, samples=400, rounds=4)
@@ -292,22 +290,19 @@ class TestRunExperiment:
         config = with_overrides(SMALL, strategy="standalone")
         report = run_experiment(config)
         world = _build_world(config)
-        batch = Batch(world.eval_set.xs, world.eval_set.ys)
         roots = [derive_seed(config.seed, i) for i in range(config.clients)]
         policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
         adapters = [
-            init_adapter(world.base.dim, rank, replace(policy, seed=derive_seed(root, 0, _TAG_INIT)))
+            init_adapter(world.base.dim, rank, policy, derive_seed(root, 0, _TAG_INIT))
             for root, rank in zip(roots, config.ranks)
         ]
         cfg = TrainConfig(config.lr, config.batch_size, config.epochs, config.loss)
         for t, row in enumerate(report.rounds):
             adapters = [
-                local_train(
-                    ToyModel(world.base, a), shard, replace(cfg, seed=derive_seed(root, t, _TAG_TRAIN))
-                )
+                local_train(ToyModel(world.base, a), shard, cfg, derive_seed(root, t, _TAG_TRAIN))
                 for a, shard, root in zip(adapters, world.shards, roots)
             ]
-            losses = [evaluate(ToyModel(world.base, a), batch) for a in adapters]
+            losses = [evaluate(ToyModel(world.base, a), world.held_out) for a in adapters]
             assert row.global_loss == float(np.mean(losses))
 
     @pytest.mark.parametrize(
@@ -416,14 +411,14 @@ class TestCompare:
     def test_centralized_pools_the_shards_rows(self, monkeypatch, loss):
         trained = []
 
-        def recording(model, shard, cfg):
+        def recording(model, shard, cfg, seed):
             trained.append(shard)
-            return local_train(model, shard, cfg)
+            return local_train(model, shard, cfg, seed)
 
         monkeypatch.setattr(simulation, "local_train", recording)
         config = replace(SMALL, strategy="centralized", loss=loss, skew="size-skew", skew_strength=1.0)
         world = _build_world(config)
-        simulation._run(config, world)
+        simulation._run(config, config.strategy, world)
         assert len(trained) == config.rounds
         pooled = trained[0]
         for shard in world.shards:
@@ -504,7 +499,7 @@ class TestServerClientState:
     def test_server_round_advances(self):
         server, clients, eval_set = fresh_world(SMALL)
         assert server.round == 0
-        run_round(server, clients, "flora", TrainConfig(seed=0), eval_set)
+        run_round(server, clients, "flora", TrainConfig(), eval_set)
         assert server.round == 1
 
     def test_client_runtime_holds_shard_and_rank(self):

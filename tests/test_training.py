@@ -23,10 +23,9 @@ from florasim import (
     local_train,
     loss_and_grads,
 )
-from florasim.data import BLOCK_ROWS, EvalSet, row_blocks
+from florasim.data import BLOCK_ROWS, row_blocks
 from florasim.rng import derive_seed
-from florasim.simulation import _eval_base
-from florasim.training import LOSS_KINDS, evaluate
+from florasim.training import LOSS_KINDS, _mean_row_loss, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -90,7 +89,7 @@ class TestLossAndGrads:
 
     def test_fresh_adapter_blocks_a_gradient_exactly(self):
         gen = np.random.default_rng(31)
-        model = ToyModel(BaseWeights(gen.normal(size=(3, 4))), init_adapter(Dim(3, 4), 2, InitPolicy(seed=6)))
+        model = ToyModel(BaseWeights(gen.normal(size=(3, 4))), init_adapter(Dim(3, 4), 2, InitPolicy(), 6))
         batch = Batch(inputs=gen.normal(size=(5, 4)), targets=gen.normal(size=(5, 3)))
         _, d_a, d_b = loss_and_grads(model, batch, "squared-error")
         assert np.array_equal(d_a, np.zeros((2, 4)))
@@ -181,8 +180,24 @@ class TestLossAndGrads:
 
 
 class TestEvaluate:
+    def test_unknown_loss_name_is_rejected_on_every_loss_path(self):
+        # The underscore spelling once scored as softmax cross-entropy.
+        model = ToyModel(BaseWeights(np.eye(3)), init_adapter(Dim(3, 3), 1, InitPolicy(), 4))
+        batch = Batch(np.eye(3), np.array([0, 1, 2]))
+        shard = ClientShard(0, batch.inputs, batch.targets)
+        paths = [
+            lambda loss: evaluate(model, batch, loss),
+            lambda loss: _mean_row_loss(model.base, None, batch.inputs, batch.targets, loss),
+            lambda loss: loss_and_grads(model, batch, loss),
+            lambda loss: local_train(model, shard, TrainConfig(loss=loss), 0),
+        ]
+        for path in paths:
+            with pytest.raises(ValueError, match="unknown loss 'squared_error'") as err:
+                path("squared_error")
+            assert str(LOSS_KINDS) in str(err.value)
+
     def test_zero_base_fresh_adapter_scores_the_targets_alone(self):
-        model = ToyModel(BaseWeights(np.zeros((2, 2))), init_adapter(Dim(2, 2), 1, InitPolicy(seed=4)))
+        model = ToyModel(BaseWeights(np.zeros((2, 2))), init_adapter(Dim(2, 2), 1, InitPolicy(), 4))
         batch = Batch(inputs=[[1.0, -2.0], [3.0, 0.5]], targets=[[1.0, 0.0], [0.0, 2.0]])
         assert evaluate(model, batch) == 0.5 * (1.0 + 4.0) / 2
 
@@ -308,7 +323,7 @@ class TestBlockedEvaluation:
     def test_matches_the_whole_array_loss(self, count, dim, loss_kind):
         base, adapter, xs, targets = self.held_out(count, dim, loss_kind, seed=count * 1000 + dim)
         softmax = loss_kind == "softmax-cross-entropy"
-        bare = _eval_base(base, EvalSet(xs, targets), loss_kind)
+        bare = _mean_row_loss(base, None, xs, targets, loss_kind)
         reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
         self.assert_matches(bare, reference, exact=softmax)
         adapted = evaluate(ToyModel(base, adapter), Batch(xs, targets), loss_kind)
@@ -322,7 +337,7 @@ class TestBlockedEvaluation:
         count = 2 * BLOCK_ROWS + 1
         assert row_blocks(count) == [(0, BLOCK_ROWS), (BLOCK_ROWS, count)]
         base, adapter, xs, targets = self.held_out(count, 64, loss_kind, seed=77)
-        bare = _eval_base(base, EvalSet(xs, targets), loss_kind)
+        bare = _mean_row_loss(base, None, xs, targets, loss_kind)
         reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
         self.assert_matches(bare, reference, exact=loss_kind == "softmax-cross-entropy")
         # The tail row scores as it does on its own, and the rest as the rest.
@@ -364,8 +379,8 @@ class TestLocalTrain:
         indexed = ClientShard(0, pool.xs, ys, rows)
         copied = ClientShard(0, pool.xs[rows], ys[rows])
         model = random_model(gen, 16, 16, 4)
-        cfg = TrainConfig(learning_rate=0.002, batch_size=7, local_epochs=2, loss=loss_kind, seed=3)
-        lhs, rhs = local_train(model, indexed, cfg), local_train(model, copied, cfg)
+        cfg = TrainConfig(learning_rate=0.002, batch_size=7, local_epochs=2, loss=loss_kind)
+        lhs, rhs = local_train(model, indexed, cfg, 3), local_train(model, copied, cfg, 3)
         assert lhs.a.tobytes() == rhs.a.tobytes()
         assert lhs.b.tobytes() == rhs.b.tobytes()
         assert not np.array_equal(lhs.a, model.adapter.a)
@@ -374,7 +389,7 @@ class TestLocalTrain:
         gen = np.random.default_rng(34)
         shard = self.shard(gen)
         model = random_model(gen, 3, 4, 2)
-        trained = local_train(model, shard, TrainConfig(learning_rate=0.0, batch_size=4, seed=1))
+        trained = local_train(model, shard, TrainConfig(learning_rate=0.0, batch_size=4), 1)
         assert trained.a.tobytes() == model.adapter.a.tobytes()
         assert trained.b.tobytes() == model.adapter.b.tobytes()
 
@@ -385,9 +400,9 @@ class TestLocalTrain:
         if loss_kind == "softmax-cross-entropy":
             shard = ClientShard(client_id=0, xs=shard.xs, ys=np.argmax(shard.ys, axis=1))
         model = random_model(gen, 3, 4, 2)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=6, local_epochs=1, loss=loss_kind, seed=9)
-        trained = local_train(model, shard, cfg)
-        # Replay the documented epoch shuffle: seed derived as (cfg.seed, epoch).
+        cfg = TrainConfig(learning_rate=0.01, batch_size=6, local_epochs=1, loss=loss_kind)
+        trained = local_train(model, shard, cfg, 9)
+        # Replay the documented epoch shuffle: seed derived as (seed, epoch).
         order = np.random.default_rng(derive_seed(9, 0)).permutation(6)
         _, d_a, d_b = loss_and_grads(
             model, Batch(inputs=shard.xs[order], targets=shard.ys[order]), loss_kind
@@ -400,12 +415,12 @@ class TestLocalTrain:
         shard = self.shard(gen, count=64)
         model = ToyModel(
             BaseWeights(gen.normal(size=(3, 4))),
-            init_adapter(Dim(3, 4), 2, InitPolicy(std_or_bound=0.1, seed=2)),
+            init_adapter(Dim(3, 4), 2, InitPolicy(std_or_bound=0.1), 2),
         )
         batch = Batch(inputs=shard.xs, targets=shard.ys)
         before = evaluate(model, batch)
         trained = local_train(
-            model, shard, TrainConfig(learning_rate=0.02, batch_size=8, local_epochs=5, seed=3)
+            model, shard, TrainConfig(learning_rate=0.02, batch_size=8, local_epochs=5), 3
         )
         after = evaluate(ToyModel(model.base, trained), batch)
         assert after < before
@@ -415,16 +430,16 @@ class TestLocalTrain:
         shard = self.shard(gen)
         model = random_model(gen, 3, 4, 2)
         digest = hashlib.sha256(model.base.w.tobytes()).hexdigest()
-        local_train(model, shard, TrainConfig(learning_rate=0.05, batch_size=4, seed=4))
+        local_train(model, shard, TrainConfig(learning_rate=0.05, batch_size=4), 4)
         assert hashlib.sha256(model.base.w.tobytes()).hexdigest() == digest
 
     def test_deterministic_for_fixed_seed(self):
         gen = np.random.default_rng(38)
         shard = self.shard(gen)
         model = random_model(gen, 3, 4, 2)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=3, seed=5)
-        first = local_train(model, shard, cfg)
-        second = local_train(model, shard, cfg)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=4, local_epochs=3)
+        first = local_train(model, shard, cfg, 5)
+        second = local_train(model, shard, cfg, 5)
         assert first.a.tobytes() == second.a.tobytes()
         assert first.b.tobytes() == second.b.tobytes()
 
@@ -432,7 +447,7 @@ class TestLocalTrain:
         gen = np.random.default_rng(39)
         shard = self.shard(gen, count=3)
         model = random_model(gen, 3, 4, 2)
-        trained = local_train(model, shard, TrainConfig(learning_rate=0.01, batch_size=100, seed=6))
+        trained = local_train(model, shard, TrainConfig(learning_rate=0.01, batch_size=100), 6)
         assert trained.a.shape == model.adapter.a.shape
 
     def test_diverged_factors_raise_floating_point_error(self):
@@ -440,16 +455,16 @@ class TestLocalTrain:
         shard = ClientShard(client_id=0, xs=gen.normal(size=(40, 8)), ys=gen.normal(size=(40, 8)))
         model = random_model(gen, 8, 8, 2)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            local_train(model, shard, TrainConfig(learning_rate=1e150, batch_size=4, seed=1))
+            local_train(model, shard, TrainConfig(learning_rate=1e150, batch_size=4), 1)
 
 
-def reference_local_train(model, shard, cfg):
+def reference_local_train(model, shard, cfg, seed):
     """The plain per-step loop: gather each batch from the shard, call
     loss_and_grads, step both factors."""
     a, b = np.array(model.adapter.a), np.array(model.adapter.b)
     batch = min(cfg.batch_size, shard.size)
     for epoch in range(cfg.local_epochs):
-        order = np.random.default_rng(derive_seed(cfg.seed, epoch)).permutation(shard.size)
+        order = np.random.default_rng(derive_seed(seed, epoch)).permutation(shard.size)
         for start in range(0, shard.size, batch):
             idx = order[start : start + batch]
             probe = ToyModel(model.base, LoraAdapter(a=a, b=b))
@@ -487,11 +502,9 @@ class TestLocalTrainMatchesPerStepReference:
             BaseWeights(gen.normal(scale=0.3, size=(dim, dim))),
             LoraAdapter(a=gen.normal(scale=0.1, size=(4, dim)), b=gen.normal(scale=0.1, size=(dim, 4))),
         )
-        cfg = TrainConfig(
-            learning_rate=0.01, batch_size=batch_size, local_epochs=epochs, loss=loss_kind, seed=11
-        )
-        trained = local_train(model, shard, cfg)
-        ref_a, ref_b = reference_local_train(model, shard, cfg)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, local_epochs=epochs, loss=loss_kind)
+        trained = local_train(model, shard, cfg, 11)
+        ref_a, ref_b = reference_local_train(model, shard, cfg, 11)
         assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
         assert np.abs(trained.a - ref_a).max() <= 1e-12 * np.abs(ref_a).max()
         assert np.abs(trained.b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
@@ -522,12 +535,10 @@ class TestZeroPaddingStaysZero:
         base = BaseWeights(gen.normal(scale=0.3, size=(m, n)))
         a, b = gen.normal(scale=0.3, size=(r, n)), gen.normal(scale=0.3, size=(m, r))
         padded = LoraAdapter(a=np.vstack([a, np.zeros((pad, n))]), b=np.hstack([b, np.zeros((m, pad))]))
-        cfg = TrainConfig(
-            learning_rate=0.05, batch_size=batch_size, local_epochs=epochs, loss=loss_kind, seed=seed
-        )
-        trained = local_train(ToyModel(base, padded), shard, cfg)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, local_epochs=epochs, loss=loss_kind)
+        trained = local_train(ToyModel(base, padded), shard, cfg, seed)
         assert not trained.a[r:].any() and not trained.b[:, r:].any()
-        live = local_train(ToyModel(base, LoraAdapter(a=a, b=b)), shard, cfg)
+        live = local_train(ToyModel(base, LoraAdapter(a=a, b=b)), shard, cfg, seed)
         for got, want in ((trained.a[:r], live.a), (trained.b[:, :r], live.b)):
             assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
