@@ -83,11 +83,18 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if run_all() else 1
 
         config = _config_from_args(args)
-        # Every report goes beside config.out; a missing directory fails now,
-        # not after the last round.
+        # Every report goes beside config.out; a missing directory or a report
+        # path that is a directory fails now, not after the last round.
         out_dir = Path(config.out).parent
         if not out_dir.is_dir():
             raise ConfigError([f"out: directory {str(out_dir)!r} of {config.out!r} does not exist"])
+        if args.command == "sweep-scaling":
+            reports = [_sweep_path(config.out, factor) for factor in SCALING_SWEEP]
+        else:
+            reports = [config.out]
+        taken = [f"out: report path {path!r} is a directory" for path in reports if Path(path).is_dir()]
+        if taken:
+            raise ConfigError(taken)
         if args.command == "run":
             report = run_experiment(config)
             emit_report(report, config.out)

@@ -57,6 +57,25 @@ class LoraAdapter:
     a: np.ndarray
     b: np.ndarray
 
+    @classmethod
+    def _owned(cls, a: np.ndarray, b: np.ndarray) -> LoraAdapter:
+        """Adapter over factors the caller made and hands over: no copy, no check.
+
+        For the package's own hot paths (``init_adapter``'s draw and
+        ``local_train``'s result), whose factors are fresh float64 C-contiguous
+        matrices of matching rank that nothing else writes to. It skips
+        ``__post_init__``: the arrays are frozen in place rather than copied,
+        and finiteness is the caller's to check (``init_adapter`` checks its
+        draw, ``local_train`` its joined buffer once). Anything else goes
+        through ``LoraAdapter(a, b)``, which copies and validates.
+        """
+        a.flags.writeable = False
+        b.flags.writeable = False
+        adapter = object.__new__(cls)
+        object.__setattr__(adapter, "a", a)
+        object.__setattr__(adapter, "b", b)
+        return adapter
+
     def __post_init__(self) -> None:
         a = _frozen_matrix(self.a, "a")
         b = _frozen_matrix(self.b, "b")
@@ -141,7 +160,9 @@ def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdap
         a = gen.normal(0.0, policy.std_or_bound, size=(rank, dim.n))
     else:
         a = gen.uniform(-policy.std_or_bound, policy.std_or_bound, size=(rank, dim.n))
-    return LoraAdapter(a=a, b=np.zeros((dim.m, rank)))
+    if not np.isfinite(a).all():  # a bound near the float64 limit can overflow
+        raise ValueError("a must have finite entries")
+    return LoraAdapter._owned(a, np.zeros((dim.m, rank)))
 
 
 def adapter_delta(adapter: LoraAdapter) -> np.ndarray:

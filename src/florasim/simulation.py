@@ -272,7 +272,17 @@ class _World:
 def _build_world(config) -> _World:
     """Task, holdout, shards and baseline loss from a validated config."""
     dim = Dim(config.m, config.n)
-    task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
+    try:
+        task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
+    except MemoryError as exc:
+        # The base, and the sample pool's inputs and targets, are float64.
+        values = config.m * config.n + config.samples * (config.m + config.n)
+        raise ConfigError(
+            [
+                f"m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
+                f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated"
+            ]
+        ) from exc
     train_task, held = holdout_split(task, EVAL_FRACTION)
     spec = SkewSpec(config.skew, config.skew_strength, derive_seed(config.seed, _TAG_PARTITION))
     shards = partition(train_task, config.clients, spec)

@@ -35,6 +35,22 @@ about 10% of local training's time). A chunk's targets are one float matrix
 (the values, or one-hot rows for softmax), so a step gathers and indexes
 nothing.
 
+At the sizes most runs use (m = n = 16, batches of 16 rows) a step's time is
+numpy's fixed cost per call, not arithmetic. On a 2-vCPU x86 VM (numpy 2.4,
+OpenBLAS 0.3.31) a 16 x 16 by 16 x 4 product took 1.9 us through ``@`` and
+1.15 us through ``ndarray.dot``, which makes the same BLAS call, and an
+in-place elementwise op 0.8 us. So a step makes as few and as cheap calls as
+keep its bits. Its products go through ``.dot``, the two
+gradient products straight into their buffer (``out=``). Both factors live
+in one flat buffer, a and b being views of it, and both gradients in
+another, so the step's division by the batch count, scaling by the learning
+rate and update run once over both factors, three calls instead of six. Each
+element still gets the same operations in the same order, so the result has
+the bits of separate per-factor updates; folding ``lr / count`` into one
+scalar would not. The residual overwrites the step's outputs in place. The
+trained factors are handed to the adapter without a copy
+(``LoraAdapter._owned``), after one finiteness check over their buffer.
+
 The loss is computed only where it is reported: ``loss_and_grads`` and the
 held-out loss (``evaluate``, and the simulation's evaluation of a bare
 base). Both are the mean over rows of each row's loss, half the row's
@@ -122,16 +138,22 @@ def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
 
 
 def _residual(y: np.ndarray, t: np.ndarray, loss_kind: str) -> np.ndarray:
-    """Per-sample dloss/dy against a target matrix: y - t, or softmax(y) - onehot."""
-    if loss_kind == "squared-error":
-        return y - t
-    e = np.exp(y - y.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True) - t
+    """Overwrite the outputs y with each row's dloss/dy against a target
+    matrix, y - t or softmax(y) - onehot, and return y.
+
+    The softmax runs the reductions ``y.max`` and ``y.sum`` call, directly."""
+    if loss_kind == "softmax-cross-entropy":
+        y -= np.maximum.reduce(y, axis=1, keepdims=True)
+        np.exp(y, out=y)
+        y /= np.add.reduce(y, axis=1, keepdims=True)
+    y -= t
+    return y
 
 
 def _loss(y: np.ndarray, t: np.ndarray, loss_kind: str) -> np.ndarray:
     """Each row's loss against a target matrix: half the row's summed squared
-    residual, or its softmax cross-entropy. Computed only where it is reported."""
+    residual, or its softmax cross-entropy. Computed only where it is reported.
+    The squared error's residual overwrites y."""
     if loss_kind == "squared-error":
         return 0.5 * (_residual(y, t, loss_kind) ** 2).sum(axis=1)
     shifted = y - y.max(axis=1, keepdims=True)
@@ -169,10 +191,21 @@ def _mean_row_loss(
     return float(losses.mean())
 
 
-def _grads(g: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_a, d_b) from residuals g, inputs x and x a^T: the one gradient expression."""
-    count = len(x)
-    return (g @ b).T @ x / count, g.T @ ax / count
+def _joined(rank: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One flat buffer and its views shaped like a (rank x n) and b (m x rank)."""
+    flat = np.empty(rank * (n + m))
+    return flat, flat[: rank * n].reshape(rank, n), flat[rank * n :].reshape(m, rank)
+
+
+def _grads(
+    g: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray,
+    grads: np.ndarray, d_a: np.ndarray, d_b: np.ndarray,
+) -> None:
+    """Write the batch-mean gradients from residuals g, inputs x and x a^T into
+    d_a and d_b, the ``_joined`` views of grads: the one gradient expression."""
+    np.dot(g.dot(b).T, x, out=d_a)
+    np.dot(g.T, ax, out=d_b)
+    grads /= len(x)
 
 
 def loss_and_grads(
@@ -186,8 +219,10 @@ def loss_and_grads(
     ax = x @ model.adapter.a.T
     y = x @ model.base.w.T + ax @ model.adapter.b.T
     t = _target_matrix(batch.targets, model.base.m, loss_kind)
-    loss = float(_loss(y, t, loss_kind).mean())
-    return (loss, *_grads(_residual(y, t, loss_kind), x, ax, model.adapter.b))
+    loss = float(_loss(y.copy(), t, loss_kind).mean())
+    grads, d_a, d_b = _joined(model.adapter.rank, model.base.m, model.base.n)
+    _grads(_residual(y, t, loss_kind), x, ax, model.adapter.b, grads, d_a, d_b)
+    return loss, d_a, d_b
 
 
 def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int) -> LoraAdapter:
@@ -202,8 +237,15 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
     """
     if shard.size < 1:
         raise ValueError("cannot train on an empty shard")
-    a = np.array(model.adapter.a)
-    b = np.array(model.adapter.b)
+    shape = (model.adapter.rank, model.base.m, model.base.n)
+    # Both factors in one buffer and both gradients in another, so each step
+    # scales and applies them with one call apiece. The transposes are views
+    # of buffers that are only ever updated in place, so they stay current.
+    params, a, b = _joined(*shape)
+    a[...] = model.adapter.a
+    b[...] = model.adapter.b
+    grads, d_a, d_b = _joined(*shape)
+    a_t, b_t = a.T, b.T
     w = model.base.w
     lr = cfg.learning_rate
     batch = min(cfg.batch_size, shard.size)
@@ -225,15 +267,15 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
             base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
             for start in range(0, len(idx), batch):
                 x = xs[start : start + batch]
-                ax = x @ a.T
-                y = base_ys[start : start + batch] + ax @ b.T
-                d_a, d_b = _grads(_residual(y, ts[start : start + batch], cfg.loss), x, ax, b)
-                a -= lr * d_a
-                b -= lr * d_b
-    try:
-        return LoraAdapter(a=a, b=b)
-    except ValueError as exc:  # the factors' shapes hold, so only finiteness can fail
-        raise FloatingPointError(f"local SGD diverged: {exc}") from exc
+                ax = x.dot(a_t)
+                y = ax.dot(b_t)
+                y += base_ys[start : start + batch]  # IEEE addition commutes: base + product
+                _grads(_residual(y, ts[start : start + batch], cfg.loss), x, ax, b, grads, d_a, d_b)
+                grads *= lr
+                params -= grads
+    if not np.isfinite(params).all():
+        raise FloatingPointError("local SGD diverged: the adapter has non-finite entries")
+    return LoraAdapter._owned(a, b)
 
 
 def evaluate(model: ToyModel, batch: Batch, loss_kind: str = "squared-error") -> float:

@@ -279,24 +279,44 @@ class TestMain:
         )
         assert code == 1
 
-    def test_runtime_failure_exits_two(self, tmp_path):
-        # The report's directory exists, but the report path is a directory
-        # too, so writing it fails only after the run.
-        target = tmp_path / "out.csv"
-        target.mkdir()
+    @pytest.mark.parametrize(
+        "command, runner, taken",
+        [
+            ("run", "run_experiment", "out.csv"),
+            ("compare", "compare_strategies", "out.csv"),
+            ("sweep-scaling", "run_experiment", "out.sf0.05.csv"),
+        ],
+    )
+    def test_out_naming_a_directory_exits_one_before_any_round(
+        self, tmp_path, capsys, monkeypatch, command, runner, taken
+    ):
+        # The report's directory exists, but a report path is a directory
+        # too; sweep-scaling derives one report path per factor.
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the report paths were checked")
+
+        monkeypatch.setattr(cli, runner, no_rounds)
+        (tmp_path / taken).mkdir()
+        code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out: report path {str(tmp_path / taken)!r} is a directory\n"
+
+    def test_task_too_large_to_allocate_exits_one_naming_its_size(self, tmp_path, capsys, monkeypatch):
+        # gen_task is never run at this size: it would ask for 74.5 GiB.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
         code = main(
-            [
-                "run",
-                "--clients", "3",
-                "--ranks", "2,2,2",
-                "--rounds", "1",
-                "--samples", "120",
-                "--m", "8",
-                "--n", "8",
-                "--out", str(target),
-            ]
+            ["run", "--m", "100000", "--n", "100000", "--samples", "1000", "--out", str(tmp_path / "x.csv")]
         )
-        assert code == 2
+        assert code == 1
+        values = 100000 * 100000 + 1000 * 200000
+        assert capsys.readouterr().err == (
+            f"error: m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
+            f"({8 * values} bytes, 76.0 GiB), more than could be allocated\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "command, runner",

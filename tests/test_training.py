@@ -25,7 +25,7 @@ from florasim import (
 )
 from florasim.data import BLOCK_ROWS, row_blocks
 from florasim.rng import derive_seed
-from florasim.training import LOSS_KINDS, _mean_row_loss, evaluate
+from florasim.training import LOSS_KINDS, _mean_row_loss, _target_matrix, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -508,6 +508,124 @@ class TestLocalTrainMatchesPerStepReference:
         assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
         assert np.abs(trained.a - ref_a).max() <= 1e-12 * np.abs(ref_a).max()
         assert np.abs(trained.b - ref_b).max() <= 1e-12 * np.abs(ref_b).max()
+
+
+def chunked_local_train(model, shard, cfg, seed):
+    """The chunked loop as it stood before the joined factor buffers: ``@``
+    products, a fresh residual and gradient pair per step, and separate
+    updates of a and b. Returns the factors (a, b)."""
+
+    def residual(y, t):
+        if cfg.loss == "squared-error":
+            return y - t
+        e = np.exp(y - y.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True) - t
+
+    def grads(g, x, ax, b):
+        count = len(x)
+        return (g @ b).T @ x / count, g.T @ ax / count
+
+    a, b = np.array(model.adapter.a), np.array(model.adapter.b)
+    w, lr = model.base.w, cfg.learning_rate
+    batch = min(cfg.batch_size, shard.size)
+    chunk = max(1, BLOCK_ROWS // batch) * batch
+    xs_buf = np.empty((min(chunk, shard.size), shard.xs.shape[1]))
+    base_buf = np.empty((len(xs_buf), model.base.m))
+    for epoch in range(cfg.local_epochs):
+        order = np.random.default_rng(derive_seed(seed, epoch)).permutation(shard.size)
+        rows = shard.rows[order]
+        for chunk_start in range(0, shard.size, chunk):
+            idx = rows[chunk_start : chunk_start + chunk]
+            xs = shard.xs.take(idx, axis=0, out=xs_buf[: len(idx)], mode="clip")
+            ts = _target_matrix(shard.ys[idx], model.base.m, cfg.loss)
+            base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
+            for start in range(0, len(idx), batch):
+                x = xs[start : start + batch]
+                ax = x @ a.T
+                y = base_ys[start : start + batch] + ax @ b.T
+                d_a, d_b = grads(residual(y, ts[start : start + batch]), x, ax, b)
+                a -= lr * d_a
+                b -= lr * d_b
+    return a, b
+
+
+class TestLocalTrainKeepsItsBits:
+    """Each step scales and applies both factors' gradients as one buffer and
+    takes its products through ``ndarray.dot``; every element still gets the
+    same operations in the same order as the plain chunked loop, so the
+    factors must equal it byte for byte."""
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize(
+        "size, batch_size, m, n, rank",
+        [
+            (40, 1, 16, 16, 4),  # one-row batches
+            (57, 7, 12, 20, 3),  # m != n and a 1-row last batch
+            (33, 16, 16, 16, 4),  # a 1-row last batch after two full ones
+            (600, 7, 16, 16, 4),  # chunks of 252 rows: crosses a chunk boundary
+            (20, 50, 8, 24, 5),  # batch larger than the shard
+            (90, 16, 6, 5, 9),  # rank above min(m, n)
+            (300, 16, 64, 48, 8),
+        ],
+    )
+    def test_factors_equal_the_chunked_loop_byte_for_byte(self, loss_kind, epochs, size, batch_size, m, n, rank):
+        gen = np.random.default_rng(size * 100 + batch_size * 10 + epochs)
+        pool = size + 13
+        xs = gen.normal(size=(pool, n))
+        ys = xs @ gen.normal(scale=0.3, size=(m, n)).T
+        if loss_kind == "softmax-cross-entropy":
+            ys = np.argmax(ys, axis=1)
+        shard = ClientShard(client_id=0, xs=xs, ys=ys, rows=gen.permutation(pool)[:size])
+        model = ToyModel(
+            BaseWeights(gen.normal(scale=0.3, size=(m, n))),
+            LoraAdapter(a=gen.normal(scale=0.1, size=(rank, n)), b=gen.normal(scale=0.1, size=(m, rank))),
+        )
+        cfg = TrainConfig(learning_rate=0.01, batch_size=batch_size, local_epochs=epochs, loss=loss_kind)
+        trained = local_train(model, shard, cfg, 11)
+        ref_a, ref_b = chunked_local_train(model, shard, cfg, 11)
+        assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
+        assert trained.a.tobytes() == ref_a.tobytes()
+        assert trained.b.tobytes() == ref_b.tobytes()
+
+
+class TestOwnedFactors:
+    """``init_adapter`` and ``local_train`` hand their own arrays to the
+    adapter without a copy; they must still be frozen float64 C matrices."""
+
+    @staticmethod
+    def assert_frozen(adapter):
+        for factor in (adapter.a, adapter.b):
+            assert factor.dtype == np.float64 and factor.flags.c_contiguous
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+
+    def test_fresh_and_trained_factors_are_read_only(self):
+        gen = np.random.default_rng(46)
+        fresh = init_adapter(Dim(6, 5), 3, InitPolicy(std_or_bound=0.1), 4)
+        self.assert_frozen(fresh)
+        shard = ClientShard(client_id=0, xs=gen.normal(size=(30, 5)), ys=gen.normal(size=(30, 6)))
+        model = ToyModel(BaseWeights(gen.normal(size=(6, 5))), fresh)
+        trained = local_train(model, shard, TrainConfig(learning_rate=0.05, batch_size=8), 2)
+        self.assert_frozen(trained)
+        assert trained.a.shape == (3, 5) and trained.b.shape == (6, 3)
+        assert trained.b.any()  # the zero b trained away from its start
+
+    def test_public_constructor_still_copies_and_checks(self):
+        a, b = np.ones((2, 3)), np.ones((4, 2))
+        adapter = LoraAdapter(a=a, b=b)
+        assert adapter.a is not a and adapter.b is not b
+        assert a.flags.writeable and b.flags.writeable
+        a[0, 0] = 5.0
+        assert adapter.a[0, 0] == 1.0
+        with pytest.raises(ValueError, match="finite"):
+            LoraAdapter(a=np.full((2, 3), np.nan), b=b)
+
+    def test_overflowing_init_draw_is_rejected(self):
+        # About half of N(0, 1) draws scaled by 1e308 overflow to inf.
+        with pytest.raises(ValueError, match="finite"):
+            init_adapter(Dim(16, 16), 4, InitPolicy(std_or_bound=1e308), 1)
 
 
 class TestZeroPaddingStaysZero:
