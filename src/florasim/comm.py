@@ -6,12 +6,14 @@ client) for every strategy including full fine-tuning, so every total
 starts from the same broadcast. From then on each round charges, per client:
 
     upload              rank_k * (m + n)              any adapter strategy
-    download, averaging rank * (m + n)                the averaged pair
+    download, averaging max rank * (m + n)            the averaged pair
     download, padding   max rank * (m + n)            the padded pair
     download, stacking  (sum of ranks) * (m + n)      the stacked pair
     full fine-tuning    m * n up and m * n down
 
-Standalone and centralized runs communicate nothing after the broadcast.
+Averaging requires equal ranks, so its max rank is the one rank. Each
+client's transmissions are charged to its client id. Standalone and
+centralized runs communicate nothing after the broadcast.
 """
 
 from __future__ import annotations
@@ -72,22 +74,21 @@ def charge_round(
     ledger: CommLedger,
     strategy: str,
     dim,
-    ranks: list[int],
-    k_clients: int,
+    participants: list[tuple[int, int]],
     round_index: int,
 ) -> tuple[int, int]:
     """Append the transmissions of one round to the ledger.
 
-    Round 0 also charges the initial dense broadcast. ``dim`` is anything
-    with integer attributes m and n. Returns the (params up, params down)
-    just appended, which equals ``ledger.round_totals(round_index)`` when the
-    round is charged once.
+    ``participants`` are the round's (client id, adapter rank) pairs; each
+    client's transmissions are charged to its id. Round 0 also charges the
+    initial dense broadcast. ``dim`` is anything with integer attributes m
+    and n. Returns the (params up, params down) just appended, which equals
+    ``ledger.round_totals(round_index)`` when the round is charged once.
     """
     m, n = dim.m, dim.n
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n})")
-    if len(ranks) != k_clients:
-        raise ValueError(f"got {len(ranks)} ranks for {k_clients} clients")
+    ranks = [rank for _, rank in participants]
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
     if strategy not in LEDGER_STRATEGIES:
@@ -97,7 +98,7 @@ def charge_round(
     if round_index == 0:
         # One m*n charge per receiving client, addressed as "broadcast" so the
         # one-time dissemination stays distinguishable from per-round traffic.
-        broadcast_to = 1 if strategy == "centralized" else k_clients
+        broadcast_to = 1 if strategy == "centralized" else len(participants)
         for _ in range(broadcast_to):
             ledger.add(CommEvent(0, "down", "broadcast", m * n, "full_model"))
         down = broadcast_to * m * n
@@ -105,23 +106,21 @@ def charge_round(
     if strategy in ("standalone", "centralized"):
         return 0, down
     if strategy == "full_ft":
-        for client in range(k_clients):
+        for client, _ in participants:
             ledger.add(CommEvent(round_index, "up", client, m * n, "full_model"))
             ledger.add(CommEvent(round_index, "down", client, m * n, "full_model"))
-        return k_clients * m * n, down + k_clients * m * n
+        return len(participants) * m * n, down + len(participants) * m * n
 
     if strategy == "fedit" and len(set(ranks)) != 1:
         raise HeterogeneousRankError(f"averaging cannot run with mixed ranks {sorted(set(ranks))}")
     if strategy == "flora":
         down_count, down_kind = sum(ranks) * (m + n), "stacked_adapter"
-    elif strategy == "fedit":
-        down_count, down_kind = ranks[0] * (m + n), "adapter"
-    else:  # zero_padding
+    else:
         down_count, down_kind = max(ranks) * (m + n), "adapter"
-    for client, rank in enumerate(ranks):
+    for client, rank in participants:
         ledger.add(CommEvent(round_index, "up", client, rank * (m + n), "adapter"))
         ledger.add(CommEvent(round_index, "down", client, down_count, down_kind))
-    return sum(ranks) * (m + n), down + k_clients * down_count
+    return sum(ranks) * (m + n), down + len(participants) * down_count
 
 
 REPORT_SCHEMA = 1
@@ -195,11 +194,16 @@ def emit_report(report, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> list[ReportRow]:
-    """Parse a report file back into rows; inverse of emit for tabular fields."""
+    """Parse a report file back into rows; inverse of emit for tabular fields.
+
+    Raises ValueError naming the file for anything that is not a report, and
+    the line too for a row that does not parse."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if len(lines) < 2 or not lines[0].startswith("# florasim-report"):
         raise ValueError(f"{path}: not a report file")
     if lines[1] != ",".join(REPORT_COLUMNS):

@@ -9,15 +9,16 @@ field and reports all problems at once.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .data import SKEW_KINDS
+from .data import SKEW_KINDS, _holdout_size
 from .errors import ConfigError
-from .lora import INIT_KINDS
+from .lora import _MAX_INIT_BOUND, INIT_KINDS
 from .simulation import EVAL_FRACTION, STRATEGIES
 from .training import LOSS_KINDS
 
@@ -86,8 +87,10 @@ class ExperimentConfig:
             p.append(f"scaling_override: must be in (0, 1], got {self.scaling_override}")
         if self.samples < 2:
             p.append(f"samples: must be >= 2, got {self.samples}")
+        elif self.samples > np.iinfo(np.intp).max:
+            p.append(f"samples: must be at most {np.iinfo(np.intp).max}, the rows an array can hold")
         else:
-            train = self.samples - max(1, int(round(self.samples * EVAL_FRACTION)))
+            train = self.samples - _holdout_size(self.samples, EVAL_FRACTION)
             if train < self.clients:
                 p.append(
                     f"samples: {self.samples} leaves {train} training samples "
@@ -99,8 +102,13 @@ class ExperimentConfig:
             p.append(f"teacher_rank: must be in [1, min(m, n)], got {self.teacher_rank}")
         if self.init_kind not in INIT_KINDS:
             p.append(f"init_kind: unknown kind {self.init_kind!r}, expected one of {INIT_KINDS}")
+        limit = _MAX_INIT_BOUND.get(self.init_kind, np.inf)
         if not np.isfinite(self.init_std) or self.init_std < 0:
             p.append(f"init_std: must be finite and >= 0, got {self.init_std}")
+        elif self.init_std > limit:
+            p.append(
+                f"init_std: {self.init_std} can overflow a {self.init_kind} draw; the largest is {limit:.6g}"
+            )
         if not (0 < self.client_fraction <= 1):
             p.append(f"client_fraction: must be in (0, 1], got {self.client_fraction}")
         if p:
@@ -145,9 +153,10 @@ _TYPE_PARSERS = {
 _PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in get_type_hints(ExperimentConfig).items()}
 
 
-def read_config_text(text: str) -> dict[str, str]:
-    """Split flat key=value text into a raw mapping; syntax errors collected."""
-    raw: dict[str, str] = {}
+def _config_lines(text: str) -> dict[str, tuple[int, str]]:
+    """Each key of flat key=value text with its line number and raw value (a
+    key's last line wins); syntax errors collected."""
+    entries: dict[str, tuple[int, str]] = {}
     problems: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -157,10 +166,15 @@ def read_config_text(text: str) -> dict[str, str]:
             problems.append(f"line {lineno}: expected key=value, got {stripped!r}")
             continue
         key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+        entries[key.strip()] = (lineno, value.strip())
     if problems:
         raise ConfigError(problems)
-    return raw
+    return entries
+
+
+def read_config_text(text: str) -> dict[str, str]:
+    """Split flat key=value text into a raw mapping; syntax errors collected."""
+    return {key: value for key, (_, value) in _config_lines(text).items()}
 
 
 def parse_config(
@@ -168,37 +182,65 @@ def parse_config(
     overrides: dict[str, str] | None = None,
     preset: str | None = None,
 ) -> ExperimentConfig:
-    """Build a validated config from preset, file and override layers."""
+    """Build a validated config from preset, file and override layers.
+
+    A problem with a key the file set names the file and the key's line; a
+    problem with default values names the file too, if one was read.
+    """
     problems: list[str] = []
-    layers: list[dict[str, str]] = []
+    # Each layer maps a key to (where it was set, its raw text).
+    layers: list[dict[str, tuple[str, str]]] = []
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError([f"preset: unknown preset {preset!r}, expected one of {sorted(PRESETS)}"])
-        layers.append(PRESETS[preset])
+        layers.append({k: ("", v) for k, v in PRESETS[preset].items()})
     if path is not None:
         try:
-            layers.append(read_config_text(Path(path).read_text(encoding="utf-8")))
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
+        try:
+            entries = _config_lines(text)
+        except ConfigError as exc:
+            raise ConfigError([f"{path}: {problem}" for problem in exc.problems]) from None
+        layers.append({k: (f"{path}: line {n}: ", v) for k, (n, v) in entries.items()})
     if overrides:
-        layers.append({k: v for k, v in overrides.items() if v is not None})
+        layers.append({k: ("", v) for k, v in overrides.items() if v is not None})
 
     values: dict[str, object] = {}
+    where: dict[str, str] = {}
     for layer in layers:
-        for key, text in layer.items():
+        for key, (place, text) in layer.items():
             parser = _PARSERS.get(key)
             if parser is None:
-                problems.append(f"{key}: unknown key")
+                problems.append(f"{place}{key}: unknown key")
                 continue
             try:
                 values[key] = parser(text)
+                where[key] = place
             except (TypeError, ValueError):
-                problems.append(f"{key}: cannot parse {text!r}")
+                problems.append(f"{place}{key}: cannot parse {text!r}")
     if problems:
         raise ConfigError(problems)
     config = ExperimentConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError([_locate(problem, where, path) for problem in exc.problems]) from None
     return config
+
+
+def _locate(problem: str, where: dict[str, str], path: str | Path | None) -> str:
+    """A validation problem prefixed with the file line that set one of the
+    keys it names ("m/n: ..." names m and n), or with the file if one was
+    read and neither the preset nor a flag set any of those keys."""
+    keys = re.split(r"\W+", problem.split(":", 1)[0])
+    places = [where[key] for key in keys if where.get(key)]
+    if places:
+        return places[0] + problem
+    if path is not None and not any(key in where for key in keys):
+        return f"{path}: {problem}"
+    return problem
 
 
 def config_to_text(config: ExperimentConfig) -> str:

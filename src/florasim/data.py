@@ -210,6 +210,12 @@ def argmax_labels(ys: np.ndarray) -> np.ndarray:
     )
 
 
+def _holdout_size(total: int, eval_fraction: float) -> int:
+    """Samples ``holdout_split`` keeps back from ``total``: the rounded
+    fraction, at least one."""
+    return max(1, int(round(total * eval_fraction)))
+
+
 def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalTask, Batch]:
     """Split the sample pool into a train task and a held-out ``Batch`` that
     no client is ever handed.
@@ -219,7 +225,7 @@ def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalT
     """
     if not 0 < eval_fraction < 1:
         raise ValueError(f"eval_fraction must be in (0, 1), got {eval_fraction}")
-    n_eval = max(1, int(round(task.size * eval_fraction)))
+    n_eval = _holdout_size(task.size, eval_fraction)
     if n_eval >= task.size:
         raise ValueError(f"holdout of {n_eval} samples would leave no training data")
     cut = task.size - n_eval
@@ -246,12 +252,16 @@ def _shard_sizes(total: int, k_clients: int, spec: SkewSpec, gen: np.random.Gene
     weights = np.arange(1, k_clients + 1, dtype=np.float64) ** (-spec.strength)
     gen.shuffle(weights)
     shares = weights / weights.sum() * (total - k_clients)
-    sizes = [1 + int(s) for s in shares]
-    remainders = shares - np.floor(shares)
-    deficit = total - sum(sizes)
-    for i in np.argsort(-remainders)[:deficit]:
-        sizes[i] += 1
-    return sizes
+    return (1 + _largest_remainder(shares, total - k_clients)).tolist()
+
+
+def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
+    """Whole counts summing to ``total`` from real shares that sum to it: each
+    share rounded down, plus one for the shares with the largest remainders."""
+    counts = np.floor(shares).astype(int)
+    remainders = shares - counts
+    counts[np.argsort(-remainders)[: total - counts.sum()]] += 1
+    return counts
 
 
 def _ordered_indices(
@@ -280,10 +290,7 @@ def _label_skew_shards(
         members = np.flatnonzero(labels == cls)
         gen.shuffle(members)
         proportions = gen.dirichlet(np.full(k_clients, alpha))
-        counts = np.floor(proportions * len(members)).astype(int)
-        remainders = proportions * len(members) - counts
-        for i in np.argsort(-remainders)[: len(members) - counts.sum()]:
-            counts[i] += 1
+        counts = _largest_remainder(proportions * len(members), len(members))
         start = 0
         for client, count in enumerate(counts):
             assigned[client].extend(members[start : start + count].tolist())

@@ -23,6 +23,16 @@ import numpy as np
 
 INIT_KINDS = ("zero-delta-gaussian", "zero-delta-uniform")
 
+# The largest std or bound whose every draw is finite. numpy's standard
+# normal (a ziggurat) stays below 12.23 in magnitude: its tail returns r + x,
+# r = 3.6542, accepting x only if x**2 < -2 log(1 - u) for a u <= 1 - 2**-53,
+# so x < sqrt(106 ln 2) = 8.5717; dividing by 12.3 leaves a margin. The
+# uniform draw forms high - low = 2 * bound.
+_MAX_INIT_BOUND = {
+    "zero-delta-gaussian": float(np.finfo(np.float64).max) / 12.3,
+    "zero-delta-uniform": float(np.finfo(np.float64).max) / 2,
+}
+
 
 def _frozen_matrix(arr: np.ndarray, name: str) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, order="C")
@@ -65,9 +75,10 @@ class LoraAdapter:
         ``local_train``'s result), whose factors are fresh float64 C-contiguous
         matrices of matching rank that nothing else writes to. It skips
         ``__post_init__``: the arrays are frozen in place rather than copied,
-        and finiteness is the caller's to check (``init_adapter`` checks its
-        draw, ``local_train`` its joined buffer once). Anything else goes
-        through ``LoraAdapter(a, b)``, which copies and validates.
+        and finiteness is the caller's to ensure (``InitPolicy`` bounds
+        ``init_adapter``'s draw, and ``local_train`` checks its joined buffer
+        once). Anything else goes through ``LoraAdapter(a, b)``, which copies
+        and validates.
         """
         a.flags.writeable = False
         b.flags.writeable = False
@@ -133,7 +144,8 @@ class InitPolicy:
 
     Both kinds randomize the a factor only (Gaussian with the given std, or
     uniform on [-bound, bound]) and zero the b factor, so a fresh adapter's
-    update is exactly the zero matrix and merging it is always a no-op.
+    update is exactly the zero matrix and merging it is always a no-op. The
+    std or bound is at most the kind's largest whose draws are all finite.
     """
 
     kind: str = "zero-delta-gaussian"
@@ -144,6 +156,11 @@ class InitPolicy:
             raise ValueError(f"unknown init kind {self.kind!r}, expected one of {INIT_KINDS}")
         if not np.isfinite(self.std_or_bound) or self.std_or_bound < 0:
             raise ValueError(f"std_or_bound must be finite and >= 0, got {self.std_or_bound}")
+        if self.std_or_bound > _MAX_INIT_BOUND[self.kind]:
+            raise ValueError(
+                f"std_or_bound {self.std_or_bound} can overflow a {self.kind} draw; "
+                f"the largest is {_MAX_INIT_BOUND[self.kind]:.6g}"
+            )
 
 
 def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdapter:
@@ -160,8 +177,6 @@ def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdap
         a = gen.normal(0.0, policy.std_or_bound, size=(rank, dim.n))
     else:
         a = gen.uniform(-policy.std_or_bound, policy.std_or_bound, size=(rank, dim.n))
-    if not np.isfinite(a).all():  # a bound near the float64 limit can overflow
-        raise ValueError("a must have finite entries")
     return LoraAdapter._owned(a, np.zeros((dim.m, rank)))
 
 

@@ -18,7 +18,9 @@ report writes for it, a ``comm.ReportRow``.
 
 Clients train one after another in client order. All randomness is derived
 per (experiment seed, client, round), so a client's adapter does not depend
-on which clients trained before it.
+on which clients trained before it. Under partial participation each round's
+clients are drawn once per experiment, with its data, so every federated
+strategy of a comparison trains the same clients in the same round.
 """
 
 from __future__ import annotations
@@ -250,27 +252,32 @@ def run_round(
             raise DivergenceError(strategy, t + 1, diverged) from exc
         noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
         loss = _mean_row_loss(server.base, None, held_out.inputs, held_out.targets, train_cfg.loss)
-    traffic = charge_round(server.ledger, strategy, dim, ranks, len(clients), t)
+    traffic = charge_round(server.ledger, strategy, dim, [(c.client_id, c.rank) for c in clients], t)
     return _close_round(server, strategy, loss, noise, traffic)
 
 
 @dataclass(frozen=True)
 class _World:
-    """The data of one experiment: initial base, shards, held-out batch, baseline.
+    """The data of one experiment: initial base, shards, held-out batch,
+    baseline, and each round's sorted participating client ids.
 
     Nothing here changes during a run (the arrays are read-only), so one
-    world serves every strategy of a comparison; each run draws its own
-    ServerState and ClientRuntime objects from it.
+    world serves every strategy of a comparison, and every federated
+    strategy sees the same participants; each run draws its own ServerState
+    and ClientRuntime objects from it.
     """
 
     base: BaseWeights
     shards: list[ClientShard]
     held_out: Batch
     baseline: float
+    participants: list[list[int]]
 
 
 def _build_world(config) -> _World:
-    """Task, holdout, shards and baseline loss from a validated config."""
+    """Task, holdout, shards, baseline loss and participation schedule from a
+    validated config. Under partial participation round t's clients are a
+    uniform draw seeded from (seed, _TAG_SAMPLING, t)."""
     dim = Dim(config.m, config.n)
     try:
         task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
@@ -291,18 +298,15 @@ def _build_world(config) -> _World:
         shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
         held = Batch(held.inputs, argmax_labels(held.targets))
     baseline = _mean_row_loss(task.base, None, held.inputs, held.targets, config.loss)
-    return _World(task.base, shards, held, baseline)
-
-
-def _participants(
-    clients: list[ClientRuntime], fraction: float, seed: int, round_index: int
-) -> list[ClientRuntime]:
-    if fraction >= 1.0:
-        return clients
-    count = max(1, int(np.ceil(fraction * len(clients))))
-    gen = np.random.default_rng(derive_seed(seed, _TAG_SAMPLING, round_index))
-    chosen = sorted(gen.choice(len(clients), size=count, replace=False).tolist())
-    return [clients[i] for i in chosen]
+    participants = [list(range(config.clients))] * config.rounds
+    if config.client_fraction < 1.0:
+        count = max(1, int(np.ceil(config.client_fraction * config.clients)))
+        seeds = (derive_seed(config.seed, _TAG_SAMPLING, t) for t in range(config.rounds))
+        participants = [
+            sorted(np.random.default_rng(s).choice(config.clients, size=count, replace=False).tolist())
+            for s in seeds
+        ]
+    return _World(task.base, shards, held, baseline, participants)
 
 
 def run_experiment(config) -> ExperimentReport:
@@ -326,28 +330,33 @@ def _run(config, strategy: str, world: _World) -> ExperimentReport:
     )
     init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
     dim = world.base.dim
-    # The references carry their adapters across rounds: standalone one per
-    # client, centralized one of the largest rank trained on the pooled data.
-    if strategy == "standalone":
-        adapters = [
-            init_adapter(dim, c.rank, init_policy, derive_seed(c.seed, 0, _TAG_INIT))
-            for c in clients
-        ]
-    elif strategy == "centralized":
-        # Every shard indexes the one training pool; the pooled shard takes
-        # their rows in client order.
-        pool = world.shards[0]
-        pooled = ClientShard(0, pool.xs, pool.ys, np.concatenate([s.rows for s in world.shards]))
-        seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
-        adapters = [init_adapter(dim, max(config.ranks), init_policy, seed)]
+    if strategy not in FEDERATED_STRATEGIES:
+        # The references carry their adapters across rounds: standalone one
+        # per client, centralized one of the largest rank trained on the
+        # pooled data, whose job has no client id. Each learner is (job id,
+        # shard, rank, init seed, train-seed prefix).
+        if strategy == "standalone":
+            learners = [
+                (c.client_id, c.shard, c.rank, derive_seed(c.seed, 0, _TAG_INIT), (c.seed,))
+                for c in clients
+            ]
+        else:
+            # Every shard indexes the one training pool; the pooled shard
+            # takes their rows in client order.
+            pool = world.shards[0]
+            rows = np.concatenate([s.rows for s in world.shards])
+            seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
+            prefix = (config.seed, _TAG_CENTRAL)
+            learners = [(None, ClientShard(0, pool.xs, pool.ys, rows), max(config.ranks), seed, prefix)]
+        adapters = [init_adapter(dim, rank, init_policy, seed) for _, _, rank, seed, _ in learners]
+        everyone = [(c.client_id, c.rank) for c in clients]
 
     rounds: list[ReportRow] = []
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
-            active = _participants(clients, config.client_fraction, config.seed, t)
             row = run_round(
                 server,
-                active,
+                [clients[i] for i in world.participants[t]],
                 strategy,
                 train_cfg,
                 world.held_out,
@@ -355,20 +364,16 @@ def _run(config, strategy: str, world: _World) -> ExperimentReport:
                 scaling_override=config.scaling_override,
             )
         else:
-            if strategy == "standalone":
-                jobs = [
-                    (c.client_id, c.shard, adapter, derive_seed(c.seed, t, _TAG_TRAIN))
-                    for c, adapter in zip(clients, adapters)
-                ]
-            else:
-                seed = derive_seed(config.seed, _TAG_CENTRAL, t, _TAG_TRAIN)
-                jobs = [(None, pooled, adapters[0], seed)]
+            jobs = [
+                (job, shard, adapter, derive_seed(*prefix, t, _TAG_TRAIN))
+                for (job, shard, _, _, prefix), adapter in zip(learners, adapters)
+            ]
             with np.errstate(**_QUIET):
                 adapters = _train(server, strategy, train_cfg, jobs)
                 losses = [
                     evaluate(ToyModel(server.base, a), world.held_out, config.loss) for a in adapters
                 ]
-            traffic = charge_round(server.ledger, strategy, dim, list(config.ranks), config.clients, t)
+            traffic = charge_round(server.ledger, strategy, dim, everyone, t)
             row = _close_round(server, strategy, float(np.mean(losses)), None, traffic)
         if row.global_loss > DIVERGENCE_RATIO * world.baseline:
             ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")

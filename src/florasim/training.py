@@ -125,13 +125,27 @@ def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
 
     Every loss path (``evaluate``, the bare-base held-out loss,
     ``loss_and_grads`` and ``local_train``) forms its targets here, so this
-    is where an unknown loss name is rejected."""
+    is where an unknown loss name, squared-error targets that are not
+    (count, m), and softmax labels that are not whole numbers in [0, m) are
+    rejected. ``local_train`` calls it once per chunk, not per step."""
     _check_loss(loss_kind)
     if loss_kind == "squared-error":
-        return np.asarray(targets, dtype=np.float64)
+        values = np.asarray(targets, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != m:
+            raise ValueError(f"{loss_kind} targets must be (count, {m}), got shape {values.shape}")
+        return values
     labels = np.asarray(targets)
     if labels.ndim != 1:
-        raise ValueError("softmax-cross-entropy expects a 1-d array of class indices")
+        raise ValueError(f"{loss_kind} expects a 1-d array of class indices, got shape {labels.shape}")
+    # The reductions .min and .max call, directly: this runs once per chunk.
+    kind = labels.dtype.kind
+    whole = kind in "bui" or (kind == "f" and (np.trunc(labels) == labels).all())
+    if not (whole and np.minimum.reduce(labels) >= 0 and np.maximum.reduce(labels) < m):
+        shown = f"dtype {labels.dtype}"
+        if kind in "buif":
+            values = labels.astype(np.float64)
+            shown = f"{values[(values < 0) | (values >= m) | (np.trunc(values) != values)][0]:g}"
+        raise ValueError(f"{loss_kind} labels must be whole numbers in [0, {m}), got {shown}")
     onehot = np.zeros((len(labels), m))
     onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
     return onehot

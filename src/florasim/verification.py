@@ -268,7 +268,7 @@ def check_comm_accounting() -> tuple[bool, str]:
     for strategy in ("flora", "fedit", "full_ft"):
         ledger = CommLedger()
         for t in range(rounds):
-            charge_round(ledger, strategy, dim, [r] * k, k, t)
+            charge_round(ledger, strategy, dim, [(i, r) for i in range(k)], t)
         totals[strategy] = ledger.total()
     m = n = 4096
     flora_expected = k * (m * n + rounds * (r + k * r) * (m + n))

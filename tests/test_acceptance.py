@@ -226,7 +226,7 @@ def test_criterion_9_communication_accounting():
     for strategy in ("flora", "fedit"):
         ledger = CommLedger()
         for t in range(rounds):
-            charge_round(ledger, strategy, dim, [r] * k, k, t)
+            charge_round(ledger, strategy, dim, [(i, r) for i in range(k)], t)
         totals[strategy] = ledger.total()
     assert totals["flora"] == k * (m * n + rounds * (r + k * r) * (m + n))
     assert totals["fedit"] == k * (m * n + rounds * 2 * r * (m + n))

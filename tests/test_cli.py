@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from florasim import ConfigError, ExperimentConfig, cli, read_report
 from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
 from florasim.data import SKEW_KINDS
-from florasim.lora import INIT_KINDS
+from florasim.lora import _MAX_INIT_BOUND, INIT_KINDS
 from florasim.simulation import STRATEGIES
 from florasim.training import LOSS_KINDS
 
@@ -103,6 +107,122 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             read_config_text("rounds = 3\nnonsense\n")
 
+    def test_file_problems_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("rounds = 3\nbogus line\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path)
+        assert err.value.problems == [f"{path}: line 2: expected key=value, got 'bogus line'"]
+        path.write_text("# comment\ncolour = blue\nrounds = three\nclients = 0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path)
+        assert err.value.problems == [f"{path}: line 2: colour: unknown key", f"{path}: line 3: rounds: cannot parse 'three'"]
+        path.write_text("clients = 0\nm = 0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path)
+        assert err.value.problems[:3] == [
+            f"{path}: line 2: m/n: dimensions must be >= 1, got 0x16",
+            f"{path}: line 1: clients: must be >= 1, got 0",
+            # Ten default ranks: no line set them, but the file's settings make them wrong.
+            f"{path}: ranks: got 10 ranks for 0 clients",
+        ]
+
+    def test_flag_and_preset_problems_name_no_file(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 3\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path, preset="hetero", overrides={"strategy": "fedit", "rounds": "-1"})
+        assert err.value.problems == [
+            "strategy: fedit requires homogeneous ranks",
+            "rounds: must be >= 0, got -1",
+        ]
+
+    @pytest.mark.parametrize("kind, limit", [("zero-delta-gaussian", "1.46154e+307"), ("zero-delta-uniform", "8.98847e+307")])
+    def test_init_std_whose_draw_can_overflow_is_invalid(self, tmp_path, kind, limit):
+        path = tmp_path / "init.cfg"
+        path.write_text(f"init_kind = {kind}\ninit_std = 1e308\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path, preset="homo16")
+        assert err.value.problems == [
+            f"{path}: line 2: init_std: 1e+308 can overflow a {kind} draw; the largest is {limit}"
+        ]
+        assert parse_config(path=path, overrides={"init_std": "1e307"}).init_std == 1e307
+
+
+# Config text: lines that set a known key to a value of its type or to any
+# value, lines that set an unknown key, and any text at all.
+ANY_VALUE = (
+    st.text(max_size=12)
+    | st.integers(-(10**400), 10**400).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "1e308", "nan", "1,2,3"])
+)
+NAMES = st.sampled_from([*STRATEGIES, *LOSS_KINDS, *SKEW_KINDS, *INIT_KINDS])
+TYPED_VALUES = {
+    int: st.integers(-2, 40) | st.integers(-(10**400), 10**400),
+    float: st.floats(),
+    float | None: st.floats() | st.just(""),
+    str: NAMES,
+    tuple[int, ...]: st.lists(st.integers(-1, 20), max_size=12).map(lambda v: ",".join(map(str, v))),
+    tuple[str, ...]: st.lists(NAMES, max_size=4).map(",".join),
+}
+KNOWN_KEY_LINES = st.sampled_from(sorted(get_type_hints(ExperimentConfig).items())).flatmap(
+    lambda kv: (TYPED_VALUES[kv[1]].map(str) | ANY_VALUE).map(lambda v: f"{kv[0]} = {v}")
+)
+CONFIG_LINES = st.one_of(
+    # Mostly known keys, so that many texts reach validation.
+    *[KNOWN_KEY_LINES] * 4,
+    st.tuples(st.text(max_size=8), ANY_VALUE).map(lambda kv: f"{kv[0]}={kv[1]}"),
+    st.text(max_size=30),
+)
+CONFIG_TEXT = st.lists(CONFIG_LINES, max_size=8).map("\n".join)
+
+
+class TestArbitraryConfigText:
+    """Any config file text parses to a valid config, or fails with problems
+    that each name the file; the CLI exits 0 or 1 with no traceback."""
+
+    @staticmethod
+    def check_problems(problems, path):
+        assert problems
+        for problem in problems:
+            assert problem.startswith(f"{path}: ") or problem.startswith(f"config: cannot read {path}")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=CONFIG_TEXT)
+    def test_parse_config_property(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.cfg"
+            path.write_text(text, encoding="utf-8")
+            try:
+                config = parse_config(path=path)
+            except ConfigError as exc:
+                self.check_problems(exc.problems, path)
+            else:
+                config.validate()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(text=CONFIG_TEXT)
+    def test_cli_property(self, text):
+        class Report:
+            final_global_loss = 0.0
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            # No run: only the config's path through the CLI is under test.
+            patch.setattr(cli, "run_experiment", lambda config: Report())
+            patch.setattr(cli, "emit_report", lambda report, out: None)
+            path = Path(tmp) / "exp.cfg"
+            path.write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out.csv")])
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("error: ") for line in lines)
+            self.check_problems([line.removeprefix("error: ") for line in lines], path)
+
 
 def parse_config_from_text(text: str):
     return parse_config(overrides=read_config_text(text))
@@ -121,6 +241,7 @@ def valid_configs(draw):
     else:
         ranks = tuple(draw(st.lists(st.integers(1, 64), min_size=clients, max_size=clients)))
     allowed = STRATEGIES if len(set(ranks)) == 1 else tuple(s for s in STRATEGIES if s != "fedit")
+    init_kind = draw(st.sampled_from(INIT_KINDS))
     config = ExperimentConfig(
         m=m,
         n=n,
@@ -142,8 +263,9 @@ def valid_configs(draw):
         samples=draw(st.integers(2 * clients + 2, 10**6)),
         noise_std=draw(NONNEGATIVE),
         teacher_rank=draw(st.integers(1, min(m, n))),
-        init_kind=draw(st.sampled_from(INIT_KINDS)),
-        init_std=draw(NONNEGATIVE),
+        init_kind=init_kind,
+        # Larger values can overflow the kind's draw and are invalid.
+        init_std=draw(st.floats(min_value=0.0, max_value=_MAX_INIT_BOUND[init_kind])),
         client_fraction=draw(UNIT),
     )
     config.validate()
@@ -342,6 +464,19 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config: cannot read") and str(path) in err
+
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_init_std_that_overflows_its_draw_exits_one(self, tmp_path, capsys, kind):
+        path = tmp_path / "init.cfg"
+        path.write_text(f"init_kind = {kind}\ninit_std = 1e308\n")
+        code = main(["run", "--preset", "homo16", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: init_std: 1e+308 can overflow")
+        # A large std that every draw survives runs; at lr 0 the adapters stay as drawn.
+        path.write_text(f"init_kind = {kind}\ninit_std = 1e300\nlr = 0\n")
+        code = main(["run", "--preset", "homo16", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        assert len(read_report(tmp_path / "x.csv")) == 4
 
     def test_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys):
         with np.errstate(all="ignore"):

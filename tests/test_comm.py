@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ BIG = Dim(4096, 4096)
 def charged_ledger(strategy, dim, ranks, rounds):
     ledger = CommLedger()
     for t in range(rounds):
-        charge_round(ledger, strategy, dim, list(ranks), len(ranks), t)
+        charge_round(ledger, strategy, dim, list(enumerate(ranks)), t)
     return ledger
 
 
@@ -89,11 +91,11 @@ class TestChargeRound:
     def test_rejects_bad_arguments(self):
         ledger = CommLedger()
         with pytest.raises(ValueError):
-            charge_round(ledger, "flora", Dim(4, 4), [1, 1], 3, 0)
+            charge_round(ledger, "flora", Dim(4, 4), [(0, 1), (1, 0)], 0)
         with pytest.raises(ValueError):
-            charge_round(ledger, "warp", Dim(4, 4), [1], 1, 0)
+            charge_round(ledger, "warp", Dim(4, 4), [(0, 1)], 0)
         with pytest.raises(HeterogeneousRankError):
-            charge_round(ledger, "fedit", Dim(4, 4), [1, 2], 2, 0)
+            charge_round(ledger, "fedit", Dim(4, 4), [(0, 1), (1, 2)], 0)
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "full_ft", "standalone"])
     def test_matches_independent_closed_form(self, strategy):
@@ -121,7 +123,7 @@ class TestChargeRound:
                 ranks = [int(gen.integers(1, 9)) for _ in range(k)]
             ledger = CommLedger()
             for t in range(3):
-                returned = charge_round(ledger, strategy, dim, ranks, k, t)
+                returned = charge_round(ledger, strategy, dim, list(enumerate(ranks)), t)
                 assert returned == ledger.round_totals(t)
 
     def test_flora_download_dominates_fedit(self):
@@ -202,6 +204,11 @@ ROWS = st.lists(
 )
 
 
+# A report row line: seven or so cells, each a typical value or any text.
+REPORT_CELLS = st.sampled_from(["0", "3", "flora", "1.5", "", "nan", "-2", "1e400", " 1"]) | st.text(max_size=4)
+REPORT_LINES = st.lists(REPORT_CELLS, min_size=5, max_size=9).map(",".join) | st.text(max_size=20)
+
+
 def write_report_lines(path, *rows):
     """A valid header followed by the given row lines."""
     header = "# florasim-report schema=1 seed=0\n" + ",".join(REPORT_COLUMNS)
@@ -272,6 +279,46 @@ class TestReports:
         write_report_lines(path, "1,flora,x,1,,2,3")
         with pytest.raises(ValueError, match=r"bad\.csv: line 3: global_loss: cannot parse 'x'$"):
             read_report(path)
+
+    def test_read_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# florasim-report schema=1 seed=0\n\xff\xfe\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv: not UTF-8 text") as err:
+            read_report(path)
+        assert not isinstance(err.value, UnicodeDecodeError)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(REPORT_LINES, max_size=6))
+    def test_read_report_text_property(self, tmp_path_factory, lines):
+        # Rows after a valid header: parsed, or the first bad line is named.
+        folder = tmp_path_factory.mktemp("reports")
+        path = folder / "any.csv"
+        write_report_lines(path, *lines)
+        written = path.read_text(encoding="utf-8").splitlines()
+        try:
+            rows = read_report(path)
+        except ValueError as exc:
+            match = re.match(rf"{re.escape(str(path))}: line (\d+): ", str(exc))
+            assert match, str(exc)
+            number = int(match.group(1))
+            before, bad = folder / "before.csv", folder / "bad.csv"
+            write_report_lines(before, *written[2 : number - 1])
+            write_report_lines(bad, written[number - 1])
+            read_report(before)
+            with pytest.raises(ValueError):
+                read_report(bad)
+        else:
+            assert len(rows) == sum(1 for line in written[2:] if line)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(head=st.sampled_from([b"", b"# florasim-report schema=1 seed=0\n" + ",".join(REPORT_COLUMNS).encode() + b"\n"]), data=st.binary(max_size=80))
+    def test_read_report_bytes_property(self, tmp_path_factory, head, data):
+        path = tmp_path_factory.mktemp("reports") / "any.csv"
+        path.write_bytes(head + data)
+        try:
+            read_report(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
     def test_write_failure_carries_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"

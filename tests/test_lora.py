@@ -14,6 +14,7 @@ from florasim import (
     init_adapter,
     trainable_fraction,
 )
+from florasim.lora import _MAX_INIT_BOUND, INIT_KINDS
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -49,6 +50,17 @@ class TestInit:
             InitPolicy(kind="xavier")
         with pytest.raises(ValueError):
             InitPolicy(std_or_bound=-1.0)
+
+    @pytest.mark.parametrize("kind", INIT_KINDS)
+    def test_largest_bound_draws_finite_and_one_above_is_refused(self, kind):
+        largest = _MAX_INIT_BOUND[kind]
+        adapter = init_adapter(Dim(4, 1000), 100, InitPolicy(kind, largest), 7)
+        assert np.isfinite(adapter.a).all()
+        assert np.abs(adapter.a).max() > largest / 4
+        with pytest.raises(ValueError, match=f"can overflow a {kind} draw"):
+            InitPolicy(kind, np.nextafter(largest, np.inf))
+        with pytest.raises(ValueError, match=f"can overflow a {kind} draw"):
+            InitPolicy(kind, 1e308)
 
 
 class TestDelta:

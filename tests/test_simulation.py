@@ -271,6 +271,27 @@ class TestRunExperiment:
         }
         assert all(count == 2 for count in per_round_uploads.values())
 
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
+    def test_upload_parties_are_the_rounds_participants(self, strategy):
+        config = with_overrides(
+            SMALL, strategy=strategy, client_fraction=0.3, clients=10, ranks=(2,) * 10, samples=400, rounds=3
+        )
+        report = run_experiment(config)
+        # Each round's draw, made here independently of the simulation.
+        drawn = [
+            sorted(
+                np.random.default_rng(derive_seed(config.seed, 4, t)).choice(10, size=3, replace=False).tolist()
+            )
+            for t in range(config.rounds)
+        ]
+        assert len({tuple(ids) for ids in drawn}) > 1
+        assert _build_world(config).participants == drawn
+        for t, ids in enumerate(drawn):
+            for direction in ("up", "down"):
+                parties = [e.party for e in report.ledger.events if e.round == t and e.direction == direction]
+                parties = [p for p in parties if p != "broadcast"]
+                assert parties == ids
+
     def test_baseline_is_the_base_only_evaluation(self):
         config = with_overrides(SMALL, client_fraction=0.5, clients=4, ranks=(2, 2, 2, 2))
         report = run_experiment(config)
@@ -480,6 +501,19 @@ class TestCompare:
         config = with_overrides(SMALL, clients=3, ranks=(2,) * 3)
         compare_strategies(config, ["flora", "fedit", "zero_padding", "standalone", "centralized"])
         assert calls == {"gen_task": 1, "partition": 1}
+
+    def test_draws_each_rounds_participants_once(self, monkeypatch):
+        draws = []
+
+        def counted(*parts):
+            if len(parts) == 3 and parts[1] == simulation._TAG_SAMPLING:
+                draws.append(parts)
+            return derive_seed(*parts)
+
+        monkeypatch.setattr(simulation, "derive_seed", counted)
+        config = with_overrides(SMALL, clients=4, ranks=(2,) * 4, rounds=3, client_fraction=0.5)
+        compare_strategies(config, ["flora", "fedit", "zero_padding", "standalone", "centralized"])
+        assert draws == [(config.seed, simulation._TAG_SAMPLING, t) for t in range(3)]
 
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ConfigError):

@@ -180,21 +180,53 @@ class TestLossAndGrads:
 
 
 class TestEvaluate:
+    @staticmethod
+    def loss_paths(targets, loss):
+        """Every loss path at m=3, on four rows with the given targets."""
+        model = ToyModel(BaseWeights(np.eye(3)), init_adapter(Dim(3, 3), 1, InitPolicy(), 4))
+        batch = Batch(np.ones((4, 3)), targets)
+        shard = ClientShard(0, batch.inputs, batch.targets)
+        return [
+            lambda: evaluate(model, batch, loss),
+            lambda: _mean_row_loss(model.base, None, batch.inputs, batch.targets, loss),
+            lambda: loss_and_grads(model, batch, loss),
+            lambda: local_train(model, shard, TrainConfig(loss=loss), 0),
+        ]
+
     def test_unknown_loss_name_is_rejected_on_every_loss_path(self):
         # The underscore spelling once scored as softmax cross-entropy.
-        model = ToyModel(BaseWeights(np.eye(3)), init_adapter(Dim(3, 3), 1, InitPolicy(), 4))
-        batch = Batch(np.eye(3), np.array([0, 1, 2]))
-        shard = ClientShard(0, batch.inputs, batch.targets)
-        paths = [
-            lambda loss: evaluate(model, batch, loss),
-            lambda loss: _mean_row_loss(model.base, None, batch.inputs, batch.targets, loss),
-            lambda loss: loss_and_grads(model, batch, loss),
-            lambda loss: local_train(model, shard, TrainConfig(loss=loss), 0),
-        ]
-        for path in paths:
+        for path in self.loss_paths(np.array([0, 1, 2, 0]), "squared_error"):
             with pytest.raises(ValueError, match="unknown loss 'squared_error'") as err:
-                path("squared_error")
+                path()
             assert str(LOSS_KINDS) in str(err.value)
+
+    def test_squared_error_targets_of_the_wrong_width_are_rejected(self):
+        # (4, 1) targets once broadcast against the (4, 3) outputs.
+        for path in self.loss_paths(np.ones((4, 1)), "squared-error"):
+            expected = r"^squared-error targets must be \(count, 3\), got shape \(4, 1\)$"
+            with pytest.raises(ValueError, match=expected):
+                path()
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (-1, "-1"),  # once wrapped to the last class
+            (0.5, "0.5"),  # once truncated to class 0
+            (7, "7"),  # once a bare IndexError
+            ("a", "dtype <U21"),
+        ],
+    )
+    def test_softmax_labels_outside_the_classes_are_rejected(self, bad, shown):
+        labels = np.array([0, 1, bad, 2])
+        expected = rf"^softmax-cross-entropy labels must be whole numbers in \[0, 3\), got {shown}$"
+        for path in self.loss_paths(labels, "softmax-cross-entropy"):
+            with pytest.raises(ValueError, match=expected):
+                path()
+
+    def test_whole_float_labels_are_their_classes(self):
+        model = random_model(np.random.default_rng(3), 3, 3, 1)
+        whole = evaluate(model, Batch(np.eye(3), [0.0, 2.0, 1.0]), "softmax-cross-entropy")
+        assert whole == evaluate(model, Batch(np.eye(3), [0, 2, 1]), "softmax-cross-entropy")
 
     def test_zero_base_fresh_adapter_scores_the_targets_alone(self):
         model = ToyModel(BaseWeights(np.zeros((2, 2))), init_adapter(Dim(2, 2), 1, InitPolicy(), 4))
@@ -623,8 +655,9 @@ class TestOwnedFactors:
             LoraAdapter(a=np.full((2, 3), np.nan), b=b)
 
     def test_overflowing_init_draw_is_rejected(self):
-        # About half of N(0, 1) draws scaled by 1e308 overflow to inf.
-        with pytest.raises(ValueError, match="finite"):
+        # About half of N(0, 1) draws scaled by 1e308 overflow to inf; the
+        # policy refuses the std before any draw.
+        with pytest.raises(ValueError, match="can overflow a zero-delta-gaussian draw"):
             init_adapter(Dim(16, 16), 4, InitPolicy(std_or_bound=1e308), 1)
 
 
