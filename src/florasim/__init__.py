@@ -20,7 +20,6 @@ from .comm import (
     CommLedger,
     ReportRow,
     charge_round,
-    emit_report,
     read_report,
 )
 from .config import ExperimentConfig, PRESETS, config_to_text, parse_config
@@ -84,7 +83,6 @@ __all__ = [
     "charge_round",
     "compare_strategies",
     "config_to_text",
-    "emit_report",
     "evaluate",
     "fedit_noise",
     "gen_task",

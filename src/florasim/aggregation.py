@@ -166,7 +166,8 @@ def _split_noise(updates: list[WeightedUpdate], averaged: np.ndarray) -> NoiseRe
     algebraically identical to the double sum over ordered client pairs but
     costs one dense product instead of K**2. The oracle weighted sum is
     accumulated in the same pass, in ``oracle_delta``'s order, so it is
-    bit-identical to that function's result.
+    bit-identical to that function's result. Raises ValueError if a client's
+    update b @ a, or a weighted sum of them, is not finite.
     """
     signal = np.zeros_like(averaged)
     oracle = np.zeros_like(averaged)
@@ -174,6 +175,8 @@ def _split_noise(updates: list[WeightedUpdate], averaged: np.ndarray) -> NoiseRe
         delta = adapter_delta(u.adapter)
         signal += (u.weight**2) * delta
         oracle += u.weight * delta
+    if not (np.isfinite(signal).all() and np.isfinite(oracle).all()):
+        raise ValueError("a client update b @ a, or a weighted sum of them, is not finite")
     cross = averaged - signal
 
     scale = max(1.0, float(np.abs(averaged).max()))

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .comm import emit_report, emit_rows
+from .comm import emit_rows
 from .config import PRESETS, SCALING_SWEEP, parse_config, with_overrides
 from .errors import ConfigError
 from .simulation import STRATEGIES, compare_strategies, run_experiment
@@ -83,11 +83,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if run_all() else 1
 
         config = _config_from_args(args)
-        # Every report goes beside config.out; a missing directory or a report
-        # path that is a directory fails now, not after the last round.
-        out_dir = Path(config.out).parent
-        if not out_dir.is_dir():
-            raise ConfigError([f"out: directory {str(out_dir)!r} of {config.out!r} does not exist"])
+        # A report path that is a directory fails now, not after the last round.
         if args.command == "sweep-scaling":
             reports = [_sweep_path(config.out, factor) for factor in SCALING_SWEEP]
         else:
@@ -97,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(taken)
         if args.command == "run":
             report = run_experiment(config)
-            emit_report(report, config.out)
+            emit_rows(report.to_rows(), config.out, seed=report.seed)
             print(f"wrote {config.out} (final {config.strategy} loss {report.final_global_loss:.6g})")
         elif args.command == "compare":
             strategies = list(config.strategies) or [config.strategy]
@@ -109,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             for factor in SCALING_SWEEP:
                 swept = with_overrides(config, scaling_override=factor, out=_sweep_path(config.out, factor))
                 report = run_experiment(swept)
-                emit_report(report, swept.out)
+                emit_rows(report.to_rows(), swept.out, seed=report.seed)
                 print(f"wrote {swept.out} (factor {factor:g}, final loss {report.final_global_loss:.6g})")
         return 0
     except ConfigError as exc:

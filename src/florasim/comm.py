@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 from .errors import HeterogeneousRankError
 
@@ -124,20 +124,12 @@ def charge_round(
 
 
 REPORT_SCHEMA = 1
-REPORT_COLUMNS = (
-    "round",
-    "strategy",
-    "global_loss",
-    "mean_client_loss",
-    "relative_noise",
-    "params_up_total",
-    "params_down_total",
-)
 
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One serialized line of an experiment report."""
+    """One serialized line of an experiment report; its fields are the
+    report's columns, in order."""
 
     round: int
     strategy: str
@@ -156,8 +148,16 @@ def _parse_real(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
-# One parser per report column, in REPORT_COLUMNS order.
-_PARSERS = (int, str, float, float, _parse_real, int, int)
+# One (format, parse) pair per field type; each column's pair follows from
+# its ReportRow field's type.
+_TYPE_CODECS = {
+    int: (str, int),
+    str: (str, str),
+    float: (_format_real, float),
+    float | None: (_format_real, _parse_real),
+}
+_CODECS = tuple((name, *_TYPE_CODECS[kind]) for name, kind in get_type_hints(ReportRow).items())
+REPORT_COLUMNS = tuple(name for name, _, _ in _CODECS)
 
 
 def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
@@ -168,29 +168,12 @@ def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
     """
     lines = [f"# florasim-report schema={REPORT_SCHEMA} seed={seed}", ",".join(REPORT_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.round),
-                    row.strategy,
-                    _format_real(row.global_loss),
-                    _format_real(row.mean_client_loss),
-                    _format_real(row.relative_noise),
-                    str(row.params_up_total),
-                    str(row.params_down_total),
-                ]
-            )
-        )
+        lines.append(",".join(fmt(getattr(row, name)) for name, fmt, _ in _CODECS))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
-
-
-def emit_report(report, path: str | Path) -> None:
-    """Serialize an ExperimentReport (anything with .to_rows() and .seed)."""
-    emit_rows(report.to_rows(), path, seed=report.seed)
 
 
 def read_report(path: str | Path) -> list[ReportRow]:
@@ -218,7 +201,7 @@ def read_report(path: str | Path) -> list[ReportRow]:
                 f"{path}: line {number}: expected {len(REPORT_COLUMNS)} fields, got {len(cells)}"
             )
         values = []
-        for column, parse, text in zip(REPORT_COLUMNS, _PARSERS, cells):
+        for (column, _, parse), text in zip(_CODECS, cells):
             try:
                 values.append(parse(text))
             except ValueError:

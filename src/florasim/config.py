@@ -19,7 +19,7 @@ import numpy as np
 from .data import SKEW_KINDS, _holdout_size
 from .errors import ConfigError
 from .lora import _MAX_INIT_BOUND, INIT_KINDS
-from .simulation import EVAL_FRACTION, STRATEGIES
+from .simulation import STRATEGIES
 from .training import LOSS_KINDS
 
 SCALING_SWEEP = (0.01, 0.05, 0.1, 0.2)
@@ -66,6 +66,8 @@ class ExperimentConfig:
         for name, value in (("strategy", self.strategy), *(("strategies", s) for s in self.strategies)):
             if value not in STRATEGIES:
                 p.append(f"{name}: unknown strategy {value!r}, expected one of {STRATEGIES}")
+        for value in sorted({s for s in self.strategies if self.strategies.count(s) > 1}):
+            p.append(f"strategies: {value!r} is listed more than once")
         wants_fedit = self.strategy == "fedit" or "fedit" in self.strategies
         if wants_fedit and len(set(self.ranks)) > 1:
             p.append("strategy: fedit requires homogeneous ranks")
@@ -90,7 +92,7 @@ class ExperimentConfig:
         elif self.samples > np.iinfo(np.intp).max:
             p.append(f"samples: must be at most {np.iinfo(np.intp).max}, the rows an array can hold")
         else:
-            train = self.samples - _holdout_size(self.samples, EVAL_FRACTION)
+            train = self.samples - _holdout_size(self.samples)
             if train < self.clients:
                 p.append(
                     f"samples: {self.samples} leaves {train} training samples "
@@ -184,6 +186,7 @@ def parse_config(
 ) -> ExperimentConfig:
     """Build a validated config from preset, file and override layers.
 
+    The directory of ``out`` must exist, since every report goes beside it.
     A problem with a key the file set names the file and the key's line; a
     problem with default values names the file too, if one was read.
     """
@@ -226,7 +229,12 @@ def parse_config(
     try:
         config.validate()
     except ConfigError as exc:
-        raise ConfigError([_locate(problem, where, path) for problem in exc.problems]) from None
+        problems = exc.problems
+    out_dir = Path(config.out).parent
+    if not out_dir.is_dir():
+        problems.append(f"out: directory {str(out_dir)!r} of {config.out!r} does not exist")
+    if problems:
+        raise ConfigError([_locate(problem, where, path) for problem in problems])
     return config
 
 

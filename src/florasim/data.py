@@ -41,6 +41,9 @@ SKEW_KINDS = SKEW_ATOMS + ("feature-shift+size-skew",)
 
 _MASK64 = (1 << 64) - 1
 
+# Share of the sample pool held out for evaluation.
+EVAL_FRACTION = 0.2
+
 # Rows per block where a whole-pool operation is split up (gen_task's target
 # product and noise, argmax_labels, the held-out loss, local SGD's hoisted
 # base product), so its temporaries and BLAS workspace are bounded by the
@@ -66,8 +69,6 @@ class GlobalTask:
 
     teacher: np.ndarray
     base: BaseWeights
-    noise_std: float
-    seed: int
     xs: np.ndarray
     ys: np.ndarray
 
@@ -194,9 +195,7 @@ def gen_task(
         if noise_std > 0:
             # Consecutive draws continue one stream: the same noise as one full draw.
             block += gen.normal(0.0, noise_std, size=block.shape)
-    return GlobalTask(
-        teacher=teacher, base=BaseWeights(w), noise_std=noise_std, seed=seed, xs=xs, ys=ys
-    )
+    return GlobalTask(teacher=teacher, base=BaseWeights(w), xs=xs, ys=ys)
 
 
 def argmax_labels(ys: np.ndarray) -> np.ndarray:
@@ -210,33 +209,24 @@ def argmax_labels(ys: np.ndarray) -> np.ndarray:
     )
 
 
-def _holdout_size(total: int, eval_fraction: float) -> int:
-    """Samples ``holdout_split`` keeps back from ``total``: the rounded
-    fraction, at least one."""
-    return max(1, int(round(total * eval_fraction)))
+def _holdout_size(total: int) -> int:
+    """Samples ``holdout_split`` keeps back from ``total``: EVAL_FRACTION of
+    them rounded, at least one."""
+    return max(1, int(round(total * EVAL_FRACTION)))
 
 
-def holdout_split(task: GlobalTask, eval_fraction: float = 0.2) -> tuple[GlobalTask, Batch]:
-    """Split the sample pool into a train task and a held-out ``Batch`` that
-    no client is ever handed.
+def holdout_split(task: GlobalTask) -> tuple[GlobalTask, Batch]:
+    """Split the sample pool into a train task and a held-out ``Batch`` of
+    ``_holdout_size`` samples that no client is ever handed.
 
     Samples are i.i.d. by construction, so the tail slice is an unbiased
     holdout and keeps the split deterministic.
     """
-    if not 0 < eval_fraction < 1:
-        raise ValueError(f"eval_fraction must be in (0, 1), got {eval_fraction}")
-    n_eval = _holdout_size(task.size, eval_fraction)
+    n_eval = _holdout_size(task.size)
     if n_eval >= task.size:
         raise ValueError(f"holdout of {n_eval} samples would leave no training data")
     cut = task.size - n_eval
-    train = GlobalTask(
-        teacher=task.teacher,
-        base=task.base,
-        noise_std=task.noise_std,
-        seed=task.seed,
-        xs=task.xs[:cut],
-        ys=task.ys[:cut],
-    )
+    train = GlobalTask(teacher=task.teacher, base=task.base, xs=task.xs[:cut], ys=task.ys[:cut])
     return train, Batch(task.xs[cut:], task.ys[cut:])
 
 

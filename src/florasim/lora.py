@@ -111,10 +111,6 @@ class LoraAdapter:
     def n(self) -> int:
         return self.a.shape[1]
 
-    @property
-    def dim(self) -> Dim:
-        return Dim(self.b.shape[0], self.a.shape[1])
-
 
 @dataclass(frozen=True)
 class BaseWeights:

@@ -56,8 +56,6 @@ from .training import ToyModel, TrainConfig, _mean_row_loss, evaluate, local_tra
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
 
-EVAL_FRACTION = 0.2
-
 # A run whose held-out loss exceeds this multiple of the baseline diverged.
 DIVERGENCE_RATIO = 1e3
 
@@ -241,16 +239,17 @@ def run_round(
 
         try:
             server.base, _, delta = apply_updates(server.base, updates, strategy)
+            noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
         except ValueError as exc:
-            # After the checks above the merge fails only on non-finite weights;
-            # the per-client updates are formed again only on this path.
+            # After the checks above the merge and the split fail only on
+            # non-finite numbers; the per-client updates are formed again only
+            # on this path.
             diverged = [
                 c.client_id
                 for c, u in zip(clients, updates)
                 if not np.isfinite(adapter_delta(u.adapter)).all()
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
-        noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
         loss = _mean_row_loss(server.base, None, held_out.inputs, held_out.targets, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, [(c.client_id, c.rank) for c in clients], t)
     return _close_round(server, strategy, loss, noise, traffic)
@@ -290,7 +289,7 @@ def _build_world(config) -> _World:
                 f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated"
             ]
         ) from exc
-    train_task, held = holdout_split(task, EVAL_FRACTION)
+    train_task, held = holdout_split(task)
     spec = SkewSpec(config.skew, config.skew_strength, derive_seed(config.seed, _TAG_PARTITION))
     shards = partition(train_task, config.clients, spec)
     if config.loss == "softmax-cross-entropy":

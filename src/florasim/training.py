@@ -249,8 +249,6 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
     (model, shard, cfg, seed). Raises FloatingPointError if SGD diverges to
     non-finite factors.
     """
-    if shard.size < 1:
-        raise ValueError("cannot train on an empty shard")
     shape = (model.adapter.rank, model.base.m, model.base.n)
     # Both factors in one buffer and both gradients in another, so each step
     # scales and applies them with one call apiece. The transposes are views

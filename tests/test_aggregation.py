@@ -312,6 +312,18 @@ class TestNoiseReport:
         ]
         assert fedit_noise(updates).relative_noise == 0.0
 
+    def test_updates_whose_own_products_overflow_are_rejected(self):
+        # The factors cancel in the average, whose product is finite, but each
+        # client's b @ a overflows: the split raises, not its identity check.
+        updates = [
+            WeightedUpdate(LoraAdapter(a=[[sign * 1e200]], b=[[sign * 1e200]]), 0.5)
+            for sign in (1.0, -1.0)
+        ]
+        assert np.isfinite(adapter_delta(aggregate_fedit(updates))).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                fedit_noise(updates)
+
     def test_rejects_heterogeneous(self):
         gen = np.random.default_rng(26)
         updates = [

@@ -6,9 +6,11 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import florasim
-from florasim import ConfigError, ExperimentConfig, cli, read_report
+from florasim import ConfigError, ExperimentConfig, LoraAdapter, cli, read_report
 from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
 from florasim.data import SKEW_KINDS
@@ -94,6 +96,31 @@ class TestParseConfig:
             parse_config(overrides={"scaling_override": "1.5"})
         config = parse_config(overrides={"scaling_override": "0.1"})
         assert config.scaling_override == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("skew_strength", -1.0),
+            ("skew_strength", float("nan")),
+            ("samples", 1),
+            ("samples", int(np.iinfo(np.intp).max) + 1),
+            ("init_kind", "warp"),
+            ("init_std", -1.0),
+        ],
+    )
+    def test_validate_names_each_out_of_range_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{key: value}).validate()
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"{key}: ")
+
+    def test_a_repeated_strategy_is_invalid(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"strategies": "flora,fedit,flora,fedit,standalone"})
+        assert err.value.problems == [
+            "strategies: 'fedit' is listed more than once",
+            "strategies: 'flora' is listed more than once",
+        ]
 
     def test_round_trip(self):
         config = parse_config(
@@ -206,11 +233,15 @@ class TestArbitraryConfigText:
     def test_cli_property(self, text):
         class Report:
             final_global_loss = 0.0
+            seed = 0
+
+            def to_rows(self):
+                return []
 
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             # No run: only the config's path through the CLI is under test.
             patch.setattr(cli, "run_experiment", lambda config: Report())
-            patch.setattr(cli, "emit_report", lambda report, out: None)
+            patch.setattr(cli, "emit_rows", lambda rows, out, seed: None)
             path = Path(tmp) / "exp.cfg"
             path.write_text(text, encoding="utf-8")
             err = io.StringIO()
@@ -234,7 +265,8 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 @st.composite
 def valid_configs(draw):
-    """Any config that validates; out is drawn from characters config text keeps."""
+    """Any config that parse_config accepts. out is drawn from characters config
+    text keeps, without '/', so its directory is the working one, which exists."""
     m, n, clients = draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(st.integers(1, 12))
     if draw(st.booleans()):
         ranks = (draw(st.integers(1, 64)),) * clients
@@ -248,7 +280,7 @@ def valid_configs(draw):
         clients=clients,
         ranks=ranks,
         strategy=draw(st.sampled_from(allowed)),
-        strategies=tuple(draw(st.lists(st.sampled_from(allowed), max_size=5))),
+        strategies=tuple(draw(st.lists(st.sampled_from(allowed), max_size=5, unique=True))),
         rounds=draw(st.integers(0, 100)),
         epochs=draw(st.integers(1, 10)),
         lr=draw(NONNEGATIVE),
@@ -258,7 +290,7 @@ def valid_configs(draw):
         skew_strength=draw(NONNEGATIVE),
         scaling_override=draw(st.none() | UNIT),
         seed=draw(st.integers(0, 2**64 - 1)),
-        out=draw(st.text("abcxyz0123456789._-/", min_size=1, max_size=20)),
+        out=draw(st.text("abcxyz0123456789._-", min_size=1, max_size=20)),
         # Twice the clients plus two leaves each client a sample after the holdout.
         samples=draw(st.integers(2 * clients + 2, 10**6)),
         noise_std=draw(NONNEGATIVE),
@@ -322,6 +354,21 @@ class TestConfigFlags:
         args = build_parser().parse_args(["run", "--preset", "hetero", "--config", str(path), "--seed", "8"])
         expected = parse_config(path=path, overrides={"seed": "8"}, preset="hetero")
         assert _config_from_args(args) == expected
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_flags_and_file_keys_match_the_cli_and_config(self):
+        text = " ".join(self.README.read_text(encoding="utf-8").split())
+        listed = re.search(r"All flags: `([^`]*)`", text).group(1).split()
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = [flag for a in commands.choices["run"]._actions for flag in a.option_strings]
+        assert sorted(listed) == sorted(flag for flag in accepted if flag not in ("-h", "--help"))
+        file_only = re.findall(r"`(\w+)`", re.search(r"Keys mirror the flags plus ([^.]*)\.", text).group(1))
+        assert len(file_only) == 4
+        keys = [flag[2:].replace("-", "_") for flag in listed if flag not in ("--preset", "--config")]
+        assert sorted(keys + file_only) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 class TestPackageExports:
@@ -457,6 +504,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: out:") and str(target.parent) in err
 
+    def test_out_set_in_a_config_file_names_the_file_and_line(self, tmp_path, capsys, monkeypatch):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_rounds)
+        monkeypatch.chdir(tmp_path)
+        Path("o.cfg").write_text("rounds = 1\nout = nodir/x.csv\n")
+        assert main(["run", "--config", "o.cfg"]) == 1
+        missing = "out: directory 'nodir' of 'nodir/x.csv' does not exist"
+        assert capsys.readouterr().err == f"error: o.cfg: line 2: {missing}\n"
+        # Given as a flag, the same out names no file.
+        assert main(["run", "--config", "o.cfg", "--out", "nodir/x.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {missing}\n"
+
+    def test_repeated_strategy_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the strategies were checked")
+
+        monkeypatch.setattr(cli, "compare_strategies", no_rounds)
+        out = tmp_path / "x.csv"
+        argv = ["compare", "--preset", "homo16", "--strategies", "flora,flora", "--rounds", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: strategies: 'flora' is listed more than once\n"
+        assert not out.exists()
+
     def test_undecodable_config_file_exits_one_naming_it(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"\xff\xfe rounds = 2\n")
@@ -492,6 +564,21 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) " in err
+
+    def test_averaging_overflow_exits_two_naming_the_clients(self, tmp_path, capsys, monkeypatch):
+        # Clients 8 and 9 upload finite factors of +-1e200, which cancel in the
+        # average, so the merge succeeds; each one's own b @ a overflows.
+        def upload(model, shard, cfg, seed):
+            value = {8: 1e200, 9: -1e200}.get(shard.client_id, 1e-3)
+            return LoraAdapter(a=np.full((16, 16), value), b=np.full((16, 16), value))
+
+        monkeypatch.setattr(florasim.simulation, "local_train", upload)
+        argv = ["compare", "--preset", "homo16", "--strategies", "fedit", "--seed", "1",
+                "--rounds", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: strategy fedit diverged in round 1: non-finite update b @ a from client(s) 8, 9\n"
+        )
 
     def test_divergence_prints_only_the_error_line(self, tmp_path):
         # A fresh interpreter, so numpy warnings reach stderr as a user sees them.

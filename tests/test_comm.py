@@ -255,6 +255,12 @@ class TestReports:
         with pytest.raises(ValueError):
             read_report(path)
 
+    def test_read_rejects_a_wrong_column_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("# florasim-report schema=1 seed=0\nround,strategy\n0,flora\n")
+        with pytest.raises(ValueError, match=r"header\.csv: unexpected column header 'round,strategy'$"):
+            read_report(path)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rows=ROWS, seed=st.integers(0, 2**63 - 1))
     def test_round_trip_property(self, tmp_path_factory, rows, seed):

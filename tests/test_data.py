@@ -98,18 +98,17 @@ class TestGenTask:
 class TestHoldoutSplit:
     def test_sizes_and_disjointness(self):
         task = gen_task(DIM, 1000, 0.0, seed=15)
-        train, evalset = holdout_split(task, 0.2)
+        train, evalset = holdout_split(task)
         assert train.size == 800
         assert isinstance(evalset, Batch) and len(evalset) == 200
         assert sample_keys(train.xs) | sample_keys(evalset.inputs) == sample_keys(task.xs)
         assert sample_keys(train.xs) & sample_keys(evalset.inputs) == set()
 
-    def test_rejects_degenerate_fraction(self):
-        task = gen_task(DIM, 20, 0.0, seed=15)
-        with pytest.raises(ValueError):
-            holdout_split(task, 0.0)
-        with pytest.raises(ValueError):
-            holdout_split(task, 0.999)
+    def test_rejects_a_pool_it_would_leave_without_training_data(self):
+        # The holdout keeps at least one sample, which is all of a one-sample pool.
+        task = gen_task(DIM, 1, 0.0, seed=15)
+        with pytest.raises(ValueError, match="would leave no training data"):
+            holdout_split(task)
 
 
 class TestPartition:
@@ -196,6 +195,15 @@ class TestPartition:
         # A shard's rows differ from another seed's, so the check above is not vacuous.
         other = partition(task, 5, SkewSpec("feature-shift", 0.8, 5))
         assert first[0].rows.tobytes() != other[0].rows.tobytes()
+
+    def test_label_skew_refills_empty_clients_from_the_largest_shard(self):
+        # Two pseudo-labels spread by a concentration of 1/50 leave most of the
+        # ten clients empty; each takes single rows from the largest shard.
+        task = gen_task(Dim(2, 4), 200, 0.01, 3, 1)
+        shards = partition(task, 10, SkewSpec("label-skew", 50.0, 11))
+        assert [s.size for s in shards] == [1, 1, 1, 107, 1, 1, 85, 1, 1, 1]
+        rows = np.concatenate([s.rows for s in shards])
+        assert np.array_equal(np.sort(rows), np.arange(task.size))
 
     def test_rejects_too_few_samples(self):
         task = gen_task(DIM, 3, 0.0, seed=23)

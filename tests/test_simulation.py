@@ -173,6 +173,39 @@ class TestRunRound:
         with pytest.raises(ConfigError, match=strategy):
             apply_updates(BaseWeights(np.zeros((1, 1))), [update], strategy)
 
+    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
+    def test_a_reference_strategy_cannot_drive_a_round(self, monkeypatch, strategy):
+        def no_training(*args):
+            raise AssertionError("a client trained before the strategy was checked")
+
+        monkeypatch.setattr(simulation, "local_train", no_training)
+        server, clients, eval_set = fresh_world(SMALL)
+        with pytest.raises(ConfigError) as err:
+            run_round(server, clients, strategy, TrainConfig(), eval_set)
+        assert err.value.problems == [f"strategy: {strategy!r} cannot drive a federated round"]
+        assert server.round == 0 and server.ledger.events == []
+
+    @pytest.mark.parametrize("strategy", ["fedit", "zero_padding"])
+    def test_client_updates_that_overflow_under_a_finite_average_name_the_clients(
+        self, monkeypatch, strategy
+    ):
+        # Clients 1 and 2 upload finite factors of +-1e200 that cancel in the
+        # average, so the merged update is finite, but each one's b @ a overflows.
+        m, n = SMALL.m, SMALL.n
+        uploads = [
+            LoraAdapter(a=np.full((2, n), 1e-3), b=np.full((m, 2), 1e-3)),
+            LoraAdapter(a=np.full((2, n), 1e200), b=np.full((m, 2), 1e200)),
+            LoraAdapter(a=np.full((2, n), -1e200), b=np.full((m, 2), -1e200)),
+        ]
+        monkeypatch.setattr(simulation, "local_train", lambda model, shard, cfg, seed: uploads[shard.client_id])
+        server, clients, eval_set = fresh_world(SMALL)
+        with pytest.raises(DivergenceError) as err:
+            run_round(server, clients, strategy, TrainConfig(), eval_set, scaling_override=0.5)
+        assert str(err.value) == (
+            f"strategy {strategy} diverged in round 1: non-finite update b @ a from client(s) 1, 2"
+        )
+        assert isinstance(err.value.__cause__, ValueError)
+
     def test_empty_round_rejected(self):
         server, _, eval_set = fresh_world(SMALL)
         with pytest.raises(ConfigError):
@@ -518,6 +551,11 @@ class TestCompare:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ConfigError):
             compare_strategies(SMALL, [])
+
+    def test_rejects_a_repeated_strategy(self):
+        with pytest.raises(ConfigError) as err:
+            compare_strategies(SMALL, ["flora", "fedit", "flora"])
+        assert err.value.problems == ["strategies: 'flora' is listed more than once"]
 
     def test_reports_every_strategy_problem_at_once(self):
         mixed = with_overrides(SMALL, ranks=(1, 2, 3))
