@@ -3,8 +3,13 @@
 Subcommands:
     run            one experiment under one strategy
     compare        the same experiment under several strategies, one file
-    sweep-scaling  re-runs with a constant scaling factor of 0.01/0.05/0.1/0.2
+    sweep-scaling  that comparison at each constant scaling factor of
+                   0.01/0.05/0.1/0.2, one file per factor
     verify         the built-in oracle and invariant suite
+
+run, compare and sweep-scaling differ only in their strategies, factors and
+report paths; each makes one ``simulation.run_comparisons`` call, which
+builds the task and partition once, and prints one line per report written.
 
 Exit codes: 0 success, 1 invalid configuration or failed verification,
 2 runtime failure (``DivergenceError`` included).
@@ -17,9 +22,9 @@ import sys
 from pathlib import Path
 
 from .comm import emit_rows
-from .config import PRESETS, SCALING_SWEEP, parse_config, with_overrides
+from .config import PRESETS, SCALING_SWEEP, parse_config
 from .errors import ConfigError
-from .simulation import STRATEGIES, compare_strategies, run_experiment
+from .simulation import STRATEGIES, run_comparisons
 from .verification import run_all
 
 
@@ -27,7 +32,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="expand a named preset first")
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--strategy", help=f"one of {', '.join(STRATEGIES)}")
-    parser.add_argument("--strategies", help="comma list of strategies (compare)")
+    parser.add_argument("--strategies", help="comma list of strategies (compare, sweep-scaling)")
     parser.add_argument("--clients", help="number of clients")
     parser.add_argument("--ranks", help="comma list of per-client adapter ranks")
     parser.add_argument("--rounds", help="number of communication rounds")
@@ -55,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, blurb in (
         ("run", "run one experiment and write its report"),
         ("compare", "run several strategies over the identical task"),
-        ("sweep-scaling", "re-run with each constant scaling factor"),
+        ("sweep-scaling", "compare at each constant scaling factor"),
     ):
         _add_config_flags(sub.add_parser(name, help=blurb))
     sub.add_parser("verify", help="run the oracle and invariant suite")
@@ -83,30 +88,21 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if run_all() else 1
 
         config = _config_from_args(args)
-        # A report path that is a directory fails now, not after the last round.
+        strategies = [config.strategy] if args.command == "run" else list(config.strategies) or [config.strategy]
         if args.command == "sweep-scaling":
-            reports = [_sweep_path(config.out, factor) for factor in SCALING_SWEEP]
+            factors = SCALING_SWEEP
+            reports = [_sweep_path(config.out, factor) for factor in factors]
+            # parse_config checked out itself; a derived path that is a
+            # directory fails now, not after the last round.
+            taken = [f"out: report path {path!r} is a directory" for path in reports if Path(path).is_dir()]
+            if taken:
+                raise ConfigError(taken)
         else:
-            reports = [config.out]
-        taken = [f"out: report path {path!r} is a directory" for path in reports if Path(path).is_dir()]
-        if taken:
-            raise ConfigError(taken)
-        if args.command == "run":
-            report = run_experiment(config)
-            emit_rows(report.to_rows(), config.out, seed=report.seed)
-            print(f"wrote {config.out} (final {config.strategy} loss {report.final_global_loss:.6g})")
-        elif args.command == "compare":
-            strategies = list(config.strategies) or [config.strategy]
-            comparison = compare_strategies(config, strategies)
-            emit_rows(comparison.to_rows(), config.out, seed=config.seed)
+            factors, reports = [config.scaling_override], [config.out]
+        for path, comparison in zip(reports, run_comparisons(config, strategies, factors)):
+            emit_rows(comparison.to_rows(), path, seed=config.seed)
             finals = ", ".join(f"{s}={v:.6g}" for s, v in comparison.final_losses().items())
-            print(f"wrote {config.out} ({finals})")
-        elif args.command == "sweep-scaling":
-            for factor in SCALING_SWEEP:
-                swept = with_overrides(config, scaling_override=factor, out=_sweep_path(config.out, factor))
-                report = run_experiment(swept)
-                emit_rows(report.to_rows(), swept.out, seed=report.seed)
-                print(f"wrote {swept.out} (factor {factor:g}, final loss {report.final_global_loss:.6g})")
+            print(f"wrote {path} ({finals})")
         return 0
     except ConfigError as exc:
         for problem in exc.problems:

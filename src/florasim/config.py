@@ -186,7 +186,8 @@ def parse_config(
 ) -> ExperimentConfig:
     """Build a validated config from preset, file and override layers.
 
-    The directory of ``out`` must exist, since every report goes beside it.
+    ``out`` must name a path that is not a directory, in a directory that
+    exists, since every report goes there or beside it.
     A problem with a key the file set names the file and the key's line; a
     problem with default values names the file too, if one was read.
     """
@@ -230,9 +231,13 @@ def parse_config(
         config.validate()
     except ConfigError as exc:
         problems = exc.problems
-    out_dir = Path(config.out).parent
-    if not out_dir.is_dir():
-        problems.append(f"out: directory {str(out_dir)!r} of {config.out!r} does not exist")
+    out = Path(config.out)
+    if not config.out:
+        problems.append("out: the report path is empty")
+    elif out.is_dir():
+        problems.append(f"out: report path {config.out!r} is a directory")
+    elif not out.parent.is_dir():
+        problems.append(f"out: directory {str(out.parent)!r} of {config.out!r} does not exist")
     if problems:
         raise ConfigError([_locate(problem, where, path) for problem in problems])
     return config

@@ -261,9 +261,9 @@ class _World:
     baseline, and each round's sorted participating client ids.
 
     Nothing here changes during a run (the arrays are read-only), so one
-    world serves every strategy of a comparison, and every federated
-    strategy sees the same participants; each run draws its own ServerState
-    and ClientRuntime objects from it.
+    world serves every strategy and scaling factor of a command, and every
+    federated strategy sees the same participants; each run draws its own
+    ServerState and ClientRuntime objects from it.
     """
 
     base: BaseWeights
@@ -306,12 +306,6 @@ def _build_world(config) -> _World:
             for s in seeds
         ]
     return _World(task.base, shards, held, baseline, participants)
-
-
-def run_experiment(config) -> ExperimentReport:
-    """Build the task, run all rounds under config.strategy, report metrics."""
-    config.validate()
-    return _run(config, config.strategy, _build_world(config))
 
 
 def _run(config, strategy: str, world: _World) -> ExperimentReport:
@@ -389,16 +383,31 @@ def _run(config, strategy: str, world: _World) -> ExperimentReport:
     )
 
 
-def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
-    """Run each strategy over the identical task, partition and seeds.
+def run_comparisons(
+    config, strategies: list[str], factors: Iterable[float | None]
+) -> list[ComparisonReport]:
+    """Run each strategy over the identical task, partition and seeds, once
+    per client-weight factor; each factor (None, or a constant in (0, 1])
+    is that comparison's scaling_override.
 
-    The task, shards and held-out set are built once and shared; every
-    strategy runs on its own fresh server and clients, so each report equals
-    that of ``run_experiment`` for the same config and strategy.
+    The config is validated and the world (task, shards, held-out set,
+    participants) built once, since the world reads no scaling field; every
+    (factor, strategy) run gets its own fresh server and clients.
     """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
     replace(config, strategies=tuple(strategies)).validate()
     world = _build_world(config)
-    reports = {s: _run(config, s, world) for s in strategies}
-    return ComparisonReport(seed=config.seed, strategies=tuple(strategies), reports=reports)
+    swept = [replace(config, scaling_override=f) for f in factors]
+    return [ComparisonReport(c.seed, tuple(strategies), {s: _run(c, s, world) for s in strategies}) for c in swept]
+
+
+def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
+    """Run each strategy over the identical task, partition and seeds at the
+    config's own scaling_override."""
+    return run_comparisons(config, strategies, [config.scaling_override])[0]
+
+
+def run_experiment(config) -> ExperimentReport:
+    """Run all rounds under config.strategy: the comparison of one strategy."""
+    return compare_strategies(config, [config.strategy]).reports[config.strategy]

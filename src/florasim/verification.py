@@ -25,7 +25,7 @@ from .aggregation import (
     shuffled_stack,
 )
 from .comm import CommLedger, charge_round, emit_rows
-from .config import ExperimentConfig, with_overrides
+from .config import ExperimentConfig
 from .lora import BaseWeights, Dim, LoraAdapter, adapter_delta, trainable_fraction
 from .rng import derive_seed
 from .simulation import compare_strategies
@@ -288,12 +288,7 @@ def check_comm_accounting() -> tuple[bool, str]:
 
 def check_determinism() -> tuple[bool, str]:
     """Two identical comparison runs emit byte-identical report files."""
-    config = with_overrides(
-        ExperimentConfig(),
-        ranks=(16,) * 10,
-        rounds=3,
-        seed=42,
-    )
+    config = ExperimentConfig()
     blobs = []
     with tempfile.TemporaryDirectory() as tmp:
         for attempt in range(2):

@@ -23,9 +23,9 @@ import florasim
 from florasim import ConfigError, ExperimentConfig, LoraAdapter, cli, read_report
 from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
-from florasim.data import SKEW_KINDS
+from florasim.data import SKEW_KINDS, gen_task
 from florasim.lora import _MAX_INIT_BOUND, INIT_KINDS
-from florasim.simulation import STRATEGIES
+from florasim.simulation import STRATEGIES, ComparisonReport
 from florasim.training import LOSS_KINDS
 
 DATA = Path(__file__).parent / "data"
@@ -231,16 +231,9 @@ class TestArbitraryConfigText:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(text=CONFIG_TEXT)
     def test_cli_property(self, text):
-        class Report:
-            final_global_loss = 0.0
-            seed = 0
-
-            def to_rows(self):
-                return []
-
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             # No run: only the config's path through the CLI is under test.
-            patch.setattr(cli, "run_experiment", lambda config: Report())
+            patch.setattr(cli, "run_comparisons", lambda config, strategies, factors: [ComparisonReport(0, (), {})])
             patch.setattr(cli, "emit_rows", lambda rows, out, seed: None)
             path = Path(tmp) / "exp.cfg"
             path.write_text(text, encoding="utf-8")
@@ -449,22 +442,16 @@ class TestMain:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "command, runner, taken",
-        [
-            ("run", "run_experiment", "out.csv"),
-            ("compare", "compare_strategies", "out.csv"),
-            ("sweep-scaling", "run_experiment", "out.sf0.05.csv"),
-        ],
+        "command, taken",
+        [("run", "out.csv"), ("compare", "out.csv"), ("sweep-scaling", "out.sf0.05.csv")],
     )
-    def test_out_naming_a_directory_exits_one_before_any_round(
-        self, tmp_path, capsys, monkeypatch, command, runner, taken
-    ):
+    def test_out_naming_a_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command, taken):
         # The report's directory exists, but a report path is a directory
         # too; sweep-scaling derives one report path per factor.
         def no_rounds(*args, **kwargs):
             raise AssertionError("a round ran before the report paths were checked")
 
-        monkeypatch.setattr(cli, runner, no_rounds)
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
         (tmp_path / taken).mkdir()
         code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(tmp_path / "out.csv")])
         assert code == 1
@@ -487,17 +474,12 @@ class TestMain:
         )
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize(
-        "command, runner",
-        [("run", "run_experiment"), ("compare", "compare_strategies"), ("sweep-scaling", "run_experiment")],
-    )
-    def test_missing_out_directory_exits_one_before_any_round(
-        self, tmp_path, capsys, monkeypatch, command, runner
-    ):
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-scaling"])
+    def test_missing_out_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command):
         def no_rounds(*args, **kwargs):
             raise AssertionError("a round ran before the output directory was checked")
 
-        monkeypatch.setattr(cli, runner, no_rounds)
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
         target = tmp_path / "no-such-dir" / "out.csv"
         code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(target)])
         assert code == 1
@@ -508,7 +490,7 @@ class TestMain:
         def no_rounds(*args, **kwargs):
             raise AssertionError("a round ran before the output directory was checked")
 
-        monkeypatch.setattr(cli, "run_experiment", no_rounds)
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
         monkeypatch.chdir(tmp_path)
         Path("o.cfg").write_text("rounds = 1\nout = nodir/x.csv\n")
         assert main(["run", "--config", "o.cfg"]) == 1
@@ -522,7 +504,7 @@ class TestMain:
         def no_rounds(*args, **kwargs):
             raise AssertionError("a round ran before the strategies were checked")
 
-        monkeypatch.setattr(cli, "compare_strategies", no_rounds)
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
         out = tmp_path / "x.csv"
         argv = ["compare", "--preset", "homo16", "--strategies", "flora,flora", "--rounds", "1", "--out", str(out)]
         assert main(argv) == 1
@@ -648,3 +630,77 @@ class TestMain:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 10
+
+
+# A task small enough that a command runs in a fraction of a second; a
+# later --ranks overrides its ranks.
+TINY = ["--clients", "4", "--ranks", "2,2,2,2", "--rounds", "2", "--samples", "160", "--m", "8", "--n", "8"]
+
+
+class TestOneRunner:
+    """run, compare and sweep-scaling are one comparison runner at different
+    strategies, factors and report paths."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_run_writes_the_bytes_of_a_one_strategy_compare(self, tmp_path, capsys, strategy):
+        assert main(["run", *TINY, "--strategy", strategy, "--out", str(tmp_path / "run.csv")]) == 0
+        assert main(["compare", *TINY, "--strategies", strategy, "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "cmp.csv").read_bytes()
+        final = read_report(tmp_path / "run.csv")[-1].global_loss
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {tmp_path / name} ({strategy}={final:.6g})" for name in ("run.csv", "cmp.csv")
+        ]
+
+    @pytest.mark.parametrize("ranks, strategies", [("2,2,2,2", "flora,fedit"), ("1,2,3,4", "flora,zero_padding")])
+    def test_sweep_writes_each_factors_comparison_of_every_strategy(self, tmp_path, capsys, ranks, strategies):
+        # Half the clients train each round, so every strategy must see the same draws.
+        path = tmp_path / "half.cfg"
+        path.write_text("client_fraction = 0.5\n")
+        common = ["--config", str(path), *TINY, "--ranks", ranks, "--strategies", strategies]
+        assert main(["sweep-scaling", *common, "--out", str(tmp_path / "sweep.csv")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 4
+        for factor, line in zip(("0.01", "0.05", "0.1", "0.2"), printed):
+            swept = tmp_path / f"sweep.sf{factor}.csv"
+            # Each strategy's last row is its final loss.
+            finals = {row.strategy: row.global_loss for row in read_report(swept)}
+            assert list(finals) == strategies.split(",")
+            assert line == f"wrote {swept} ({', '.join(f'{s}={v:.6g}' for s, v in finals.items())})"
+            compared = tmp_path / f"cmp{factor}.csv"
+            assert main(["compare", *common, "--scaling-override", factor, "--out", str(compared)]) == 0
+            assert swept.read_bytes() == compared.read_bytes()
+
+    def test_sweep_generates_its_task_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gen_task(*args, **kwargs)
+
+        monkeypatch.setattr(florasim.simulation, "gen_task", counting)
+        argv = ["sweep-scaling", *TINY, "--strategies", "flora,fedit,standalone", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert len(list(tmp_path.iterdir())) == 4
+
+    @pytest.mark.parametrize("command", ["run", "sweep-scaling"])
+    def test_out_that_is_empty_or_a_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before out was checked")
+
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
+        (tmp_path / "dir").mkdir()
+        cases = [
+            ("", "out: the report path is empty"),
+            ("/", "out: report path '/' is a directory"),
+            (f"{tmp_path / 'dir'}/", f"out: report path '{tmp_path / 'dir'}/' is a directory"),
+        ]
+        for out, message in cases:
+            assert main([command, "--rounds", "1", "--out", out]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # Nothing was written beside the directory either.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+        path = tmp_path / "o.cfg"
+        path.write_text("rounds = 1\nout =\n")
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 2: out: the report path is empty\n"
