@@ -12,11 +12,13 @@ Three strategies are implemented over the same weighted-update input:
 * zero-padding: averaging as above at the maximum rank, exactly as if every
   adapter were first extended to it with zero rows/columns.
 
-``fedit_noise`` splits the averaged update into the self-term (weights appear
+``fedit_noise`` splits an averaged update into the self-term (weights appear
 squared) and the cross-client term that separable averaging introduces, and
-reports the size of that term relative to the correct weighted sum; a round
-splits the dense update it merged instead (``_split_noise``), so it averages
-and forms that update once.
+reports the size of that term relative to the correct weighted sum. It takes
+the averaged update as an optional argument: a round passes the dense fedit
+or zero-padding update it has just merged, so that update is formed once;
+without it, ``fedit_noise`` averages the updates itself with
+``aggregate_fedit``.
 """
 
 from __future__ import annotations
@@ -149,17 +151,11 @@ def oracle_delta(updates: list[WeightedUpdate]) -> np.ndarray:
     return out
 
 
-def fedit_noise(updates: list[WeightedUpdate]) -> NoiseReport:
-    """Split the update of ``aggregate_fedit(updates)`` into the squared-weight
-    self-terms and the cross-client terms (equal ranks only); see ``NoiseReport``."""
-    _check_round(updates)
-    _check_homogeneous(updates)
-    return _split_noise(updates, adapter_delta(aggregate_fedit(updates)))
-
-
-def _split_noise(updates: list[WeightedUpdate], averaged: np.ndarray) -> NoiseReport:
+def fedit_noise(updates: list[WeightedUpdate], averaged: np.ndarray | None = None) -> NoiseReport:
     """Split ``averaged``, the dense update of the fedit or zero-padding
-    aggregate of these updates.
+    aggregate of these updates (by default ``aggregate_fedit``'s, which
+    requires equal ranks), into the squared-weight self-terms and the
+    cross-client terms; see ``NoiseReport``.
 
     signal is accumulated directly as the squared-weight self-terms; cross is
     obtained by subtracting signal from the dense averaged update, which is
@@ -169,6 +165,8 @@ def _split_noise(updates: list[WeightedUpdate], averaged: np.ndarray) -> NoiseRe
     bit-identical to that function's result. Raises ValueError if a client's
     update b @ a, or a weighted sum of them, is not finite.
     """
+    if averaged is None:
+        averaged = adapter_delta(aggregate_fedit(updates))
     signal = np.zeros_like(averaged)
     oracle = np.zeros_like(averaged)
     for u in updates:

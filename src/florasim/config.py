@@ -9,6 +9,7 @@ field and reports all problems at once.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -68,9 +69,11 @@ class ExperimentConfig:
                 p.append(f"{name}: unknown strategy {value!r}, expected one of {STRATEGIES}")
         for value in sorted({s for s in self.strategies if self.strategies.count(s) > 1}):
             p.append(f"strategies: {value!r} is listed more than once")
-        wants_fedit = self.strategy == "fedit" or "fedit" in self.strategies
-        if wants_fedit and len(set(self.ranks)) > 1:
-            p.append("strategy: fedit requires homogeneous ranks")
+        # The strategies that run: the list, or strategy when the list is empty.
+        running = self.strategies or (self.strategy,)
+        if "fedit" in running and len(set(self.ranks)) > 1:
+            key = "strategy" if running == (self.strategy,) else "strategies"
+            p.append(f"{key}: fedit requires homogeneous ranks")
         if self.rounds < 0:
             p.append(f"rounds: must be >= 0, got {self.rounds}")
         if self.epochs < 1:
@@ -186,8 +189,9 @@ def parse_config(
 ) -> ExperimentConfig:
     """Build a validated config from preset, file and override layers.
 
-    ``out`` must name a path that is not a directory, in a directory that
-    exists, since every report goes there or beside it.
+    ``out`` must name a path that is not a directory and does not end in a
+    path separator, in a directory that exists, since every report goes
+    there or beside it.
     A problem with a key the file set names the file and the key's line; a
     problem with default values names the file too, if one was read.
     """
@@ -236,6 +240,8 @@ def parse_config(
         problems.append("out: the report path is empty")
     elif out.is_dir():
         problems.append(f"out: report path {config.out!r} is a directory")
+    elif config.out.endswith(("/", os.sep)):
+        problems.append(f"out: report path {config.out!r} ends in a path separator")
     elif not out.parent.is_dir():
         problems.append(f"out: directory {str(out.parent)!r} of {config.out!r} does not exist")
     if problems:

@@ -35,7 +35,7 @@ from .aggregation import (
     aggregate_fedit,
     aggregate_flora,
     aggregate_zero_padding,
-    _split_noise,
+    fedit_noise,
 )
 from .comm import CommLedger, ReportRow, charge_round
 from .data import (
@@ -51,7 +51,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import ToyModel, TrainConfig, _mean_row_loss, evaluate, local_train
+from .training import ToyModel, TrainConfig, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
@@ -239,7 +239,7 @@ def run_round(
 
         try:
             server.base, _, delta = apply_updates(server.base, updates, strategy)
-            noise = None if strategy == "flora" else _split_noise(updates, delta).relative_noise
+            noise = None if strategy == "flora" else fedit_noise(updates, delta).relative_noise
         except ValueError as exc:
             # After the checks above the merge and the split fail only on
             # non-finite numbers; the per-client updates are formed again only
@@ -250,7 +250,7 @@ def run_round(
                 if not np.isfinite(adapter_delta(u.adapter)).all()
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
-        loss = _mean_row_loss(server.base, None, held_out.inputs, held_out.targets, train_cfg.loss)
+        loss = evaluate(server.base, held_out, train_cfg.loss)
     traffic = charge_round(server.ledger, strategy, dim, [(c.client_id, c.rank) for c in clients], t)
     return _close_round(server, strategy, loss, noise, traffic)
 
@@ -296,7 +296,7 @@ def _build_world(config) -> _World:
         labels = argmax_labels(train_task.ys)
         shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
         held = Batch(held.inputs, argmax_labels(held.targets))
-    baseline = _mean_row_loss(task.base, None, held.inputs, held.targets, config.loss)
+    baseline = evaluate(task.base, held, config.loss)
     participants = [list(range(config.clients))] * config.rounds
     if config.client_fraction < 1.0:
         count = max(1, int(np.ceil(config.client_fraction * config.clients)))

@@ -51,15 +51,19 @@ scalar would not. The residual overwrites the step's outputs in place. The
 trained factors are handed to the adapter without a copy
 (``LoraAdapter._owned``), after one finiteness check over their buffer.
 
-The loss is computed only where it is reported: ``loss_and_grads`` and the
-held-out loss (``evaluate``, and the simulation's evaluation of a bare
-base). Both are the mean over rows of each row's loss, half the row's
-summed squared residual or its softmax cross-entropy. The held-out loss
-goes through the rows in ``data.row_blocks``, writing each row's loss into
-one vector, so no temporary the size of the held-out set is formed beside
-the sample pool. ``loss_and_grads`` shares the residual and the gradient
-expression with the SGD steps, so the finite-difference tests guard the
-training path.
+The loss is computed only where it is reported, by ``evaluate``: the
+held-out loss of a model or of a bare base (the merged weights, or the
+baseline), and the loss ``loss_and_grads`` returns. It is the mean over rows
+of each row's loss, half the row's summed squared residual or its softmax
+cross-entropy. ``evaluate`` goes through the rows in ``data.row_blocks``,
+writing each row's loss into one vector, so no temporary the size of the
+held-out set is formed beside the sample pool.
+
+Each numeric job has one implementation. The outputs x (w + b a)^T are
+formed by ``_outputs`` alone, from the base product x w^T, and one batch's
+residual and gradients by ``_step`` alone: ``local_train`` calls it once per
+step and ``loss_and_grads`` once on its whole batch, so the
+finite-difference tests check the step that SGD applies.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
     """Float targets the residual subtracts: the values themselves for squared
     error, one-hot rows of the class indices for softmax cross-entropy.
 
-    Every loss path (``evaluate``, the bare-base held-out loss,
+    Every loss path (``evaluate``, of a model or of a bare base,
     ``loss_and_grads`` and ``local_train``) forms its targets here, so this
     is where an unknown loss name, squared-error targets that are not
     (count, m), and softmax labels that are not whole numbers in [0, m) are
@@ -175,48 +179,34 @@ def _loss(y: np.ndarray, t: np.ndarray, loss_kind: str) -> np.ndarray:
     return np.log(np.exp(shifted).sum(axis=1)) - (shifted * t).sum(axis=1)
 
 
-def _mean_row_loss(
-    base: BaseWeights,
-    adapter: LoraAdapter | None,
-    xs: np.ndarray,
-    targets: np.ndarray,
-    loss_kind: str,
-) -> float:
-    """Mean over the rows of xs of each row's loss under base plus adapter
-    (the base alone when adapter is None).
-
-    The rows go through in ``row_blocks``: per block the outputs are
-    x w^T (+ (x a^T) b^T) and each row's loss is written into one (count,)
-    vector, so the largest temporary is a block's, not the whole set's.
-    From the same outputs, each row's softmax term has the same bits as over
-    the whole array at once; a mean of squared-error row sums can differ
-    from a flat sum over the array in the last bits.
-    """
-    if xs.shape[1] != base.n:
-        raise ValueError(f"inputs have {xs.shape[1]} features, model expects {base.n}")
-    losses = np.empty(len(xs))
-    for start, stop in row_blocks(len(xs)):
-        x = xs[start:stop]
-        y = x @ base.w.T
-        if adapter is not None:
-            y += (x @ adapter.a.T) @ adapter.b.T
-        t = _target_matrix(targets[start:stop], base.m, loss_kind)
-        losses[start:stop] = _loss(y, t, loss_kind)
-    return float(losses.mean())
-
-
 def _joined(rank: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One flat buffer and its views shaped like a (rank x n) and b (m x rank)."""
     flat = np.empty(rank * (n + m))
     return flat, flat[: rank * n].reshape(rank, n), flat[rank * n :].reshape(m, rank)
 
 
-def _grads(
-    g: np.ndarray, x: np.ndarray, ax: np.ndarray, b: np.ndarray,
+def _outputs(
+    x: np.ndarray, base_y: np.ndarray, a_t: np.ndarray, b_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs x (w + b a)^T of inputs x from their base product
+    base_y = x w^T and the transposed factors: (x a^T, outputs). The one
+    forward expression."""
+    ax = x.dot(a_t)
+    y = ax.dot(b_t)
+    y += base_y  # IEEE addition commutes: base + product
+    return ax, y
+
+
+def _step(
+    x: np.ndarray, base_y: np.ndarray, t: np.ndarray, loss_kind: str,
+    a_t: np.ndarray, b: np.ndarray, b_t: np.ndarray,
     grads: np.ndarray, d_a: np.ndarray, d_b: np.ndarray,
 ) -> None:
-    """Write the batch-mean gradients from residuals g, inputs x and x a^T into
-    d_a and d_b, the ``_joined`` views of grads: the one gradient expression."""
+    """One batch's outputs, residual against the target rows t, and mean
+    gradients, written into d_a and d_b, the ``_joined`` views of grads: the
+    one gradient expression. a_t, b and b_t are views of the current factors."""
+    ax, y = _outputs(x, base_y, a_t, b_t)
+    g = _residual(y, t, loss_kind)
     np.dot(g.dot(b).T, x, out=d_a)
     np.dot(g.T, ax, out=d_b)
     grads /= len(x)
@@ -225,17 +215,14 @@ def _grads(
 def loss_and_grads(
     model: ToyModel, batch: Batch, loss_kind: str = "squared-error"
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Batch-mean loss and gradients (loss, d_a, d_b) at the current adapter."""
-    x = batch.inputs
-    if x.shape[1] != model.base.n:
-        raise ValueError(f"batch inputs have {x.shape[1]} features, model expects {model.base.n}")
-    # The outputs x (w + b a)^T as two thin products.
-    ax = x @ model.adapter.a.T
-    y = x @ model.base.w.T + ax @ model.adapter.b.T
-    t = _target_matrix(batch.targets, model.base.m, loss_kind)
-    loss = float(_loss(y.copy(), t, loss_kind).mean())
+    """Batch-mean loss and gradients (loss, d_a, d_b) at the current adapter:
+    the loss from ``evaluate``, the gradients from one ``_step`` over the
+    whole batch."""
+    loss = evaluate(model, batch, loss_kind)
+    a, b, x = model.adapter.a, model.adapter.b, batch.inputs
     grads, d_a, d_b = _joined(model.adapter.rank, model.base.m, model.base.n)
-    _grads(_residual(y, t, loss_kind), x, ax, model.adapter.b, grads, d_a, d_b)
+    t = _target_matrix(batch.targets, model.base.m, loss_kind)
+    _step(x, x.dot(model.base.w.T), t, loss_kind, a.T, b, b.T, grads, d_a, d_b)
     return loss, d_a, d_b
 
 
@@ -278,11 +265,8 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
             ts = _target_matrix(shard.ys[idx], model.base.m, cfg.loss)
             base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
             for start in range(0, len(idx), batch):
-                x = xs[start : start + batch]
-                ax = x.dot(a_t)
-                y = ax.dot(b_t)
-                y += base_ys[start : start + batch]  # IEEE addition commutes: base + product
-                _grads(_residual(y, ts[start : start + batch], cfg.loss), x, ax, b, grads, d_a, d_b)
+                step = slice(start, start + batch)
+                _step(xs[step], base_ys[step], ts[step], cfg.loss, a_t, b, b_t, grads, d_a, d_b)
                 grads *= lr
                 params -= grads
     if not np.isfinite(params).all():
@@ -290,7 +274,29 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
     return LoraAdapter._owned(a, b)
 
 
-def evaluate(model: ToyModel, batch: Batch, loss_kind: str = "squared-error") -> float:
-    """Loss of the model on a fixed evaluation batch: the mean over its rows
-    of each row's loss, formed in row blocks (see ``_mean_row_loss``)."""
-    return _mean_row_loss(model.base, model.adapter, batch.inputs, batch.targets, loss_kind)
+def evaluate(
+    model: ToyModel | BaseWeights, batch: Batch, loss_kind: str = "squared-error"
+) -> float:
+    """Loss on a fixed evaluation batch of a model, or of a bare base (the
+    merged weights, or the baseline): the mean over its rows of each row's loss.
+
+    The rows go through in ``row_blocks``: per block the outputs are x w^T,
+    through ``_outputs`` when there is an adapter, and each row's loss is
+    written into one (count,) vector, so the largest temporary is a block's,
+    not the whole set's. From the same outputs, each row's softmax term has
+    the same bits as over the whole array at once; a mean of squared-error
+    row sums can differ from a flat sum over the array in the last bits.
+    """
+    base, adapter = (model, None) if isinstance(model, BaseWeights) else (model.base, model.adapter)
+    xs = batch.inputs
+    if xs.shape[1] != base.n:
+        raise ValueError(f"inputs have {xs.shape[1]} features, model expects {base.n}")
+    losses = np.empty(len(xs))
+    for start, stop in row_blocks(len(xs)):
+        x = xs[start:stop]
+        y = x @ base.w.T
+        if adapter is not None:
+            _, y = _outputs(x, y, adapter.a.T, adapter.b.T)
+        t = _target_matrix(batch.targets[start:stop], base.m, loss_kind)
+        losses[start:stop] = _loss(y, t, loss_kind)
+    return float(losses.mean())

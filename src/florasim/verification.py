@@ -29,7 +29,7 @@ from .config import ExperimentConfig
 from .lora import BaseWeights, Dim, LoraAdapter, adapter_delta, trainable_fraction
 from .rng import derive_seed
 from .simulation import compare_strategies
-from .training import Batch, ToyModel, loss_and_grads
+from .training import Batch, ToyModel, evaluate, loss_and_grads
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -147,9 +147,7 @@ def _finite_difference(model: ToyModel, batch: Batch, loss_kind: str, h: float =
     """Central differences of the batch loss in every adapter coordinate."""
 
     def loss_at(a: np.ndarray, b: np.ndarray) -> float:
-        probe = ToyModel(model.base, LoraAdapter(a=a, b=b))
-        value, _, _ = loss_and_grads(probe, batch, loss_kind)
-        return value
+        return evaluate(ToyModel(model.base, LoraAdapter(a=a, b=b)), batch, loss_kind)
 
     a0 = np.array(model.adapter.a)
     b0 = np.array(model.adapter.b)

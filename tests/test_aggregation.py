@@ -21,7 +21,6 @@ from florasim import (
     oracle_delta,
     shuffled_stack,
 )
-from florasim.aggregation import _split_noise
 from florasim.rng import derive_seed, fisher_yates
 
 EPS = float(np.finfo(np.float64).eps)
@@ -234,7 +233,7 @@ class TestZeroPadding:
         assert aggregate.rank == max(u.adapter.rank for u in updates)
         assert aggregate.a.tobytes() == reference.a.tobytes()
         assert aggregate.b.tobytes() == reference.b.tobytes()
-        split, noise = _split_noise(updates, adapter_delta(aggregate)), fedit_noise(padded)
+        split, noise = fedit_noise(updates, adapter_delta(aggregate)), fedit_noise(padded)
         assert split.signal.tobytes() == noise.signal.tobytes()
         assert split.cross.tobytes() == noise.cross.tobytes()
         assert split.relative_noise == noise.relative_noise

@@ -69,6 +69,25 @@ def test_a_traced_compare_counts_training_and_aggregation():
     assert metrics["aggregation.aggregate.calls"] == 4
 
 
+def test_rounds_call_the_traced_loss_and_noise_names():
+    # One baseline loss, one held-out loss per round of each strategy, and one
+    # noise split per fedit round, which splits the update the round merged
+    # instead of averaging the uploads again.
+    config = ExperimentConfig(
+        m=8, n=8, clients=3, ranks=(2, 2, 2), rounds=3, samples=120, teacher_rank=2, seed=5
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        compare_strategies(config, ["flora", "fedit"])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["training.evaluate.calls"] == 1 + config.rounds * 2
+    assert metrics["aggregation.noise.calls"] == config.rounds
+    assert metrics["aggregation.aggregate.calls"] == config.rounds * 2
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_traced_run_counts_every_sgd_sample(strategy):
     # The counter reads shard.size and cfg.batch_size from local_train's first

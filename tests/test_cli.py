@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import florasim
-from florasim import ConfigError, ExperimentConfig, LoraAdapter, cli, read_report
+from florasim import ConfigError, ExperimentConfig, LoraAdapter, cli, read_report, run_experiment
 from florasim.cli import _config_from_args, build_parser, main
 from florasim.config import config_to_text, parse_config, read_config_text
 from florasim.data import SKEW_KINDS, gen_task
@@ -163,6 +163,20 @@ class TestParseConfig:
             "strategy: fedit requires homogeneous ranks",
             "rounds: must be >= 0, got -1",
         ]
+
+    def test_fedit_rule_covers_only_the_strategies_that_run(self, tmp_path):
+        # strategy names the one strategy only when the strategies list is empty.
+        config = parse_config(preset="hetero", overrides={"strategy": "fedit", "strategies": "flora,zero_padding"})
+        assert config.strategies == ("flora", "zero_padding")
+        # run trains strategy alone, and is named by it.
+        with pytest.raises(ConfigError) as err:
+            run_experiment(config)
+        assert err.value.problems == ["strategy: fedit requires homogeneous ranks"]
+        path = tmp_path / "exp.cfg"
+        path.write_text("strategy = flora\nstrategies = flora,fedit\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path, preset="hetero")
+        assert err.value.problems == [f"{path}: line 2: strategies: fedit requires homogeneous ranks"]
 
     @pytest.mark.parametrize("kind, limit", [("zero-delta-gaussian", "1.46154e+307"), ("zero-delta-uniform", "8.98847e+307")])
     def test_init_std_whose_draw_can_overflow_is_invalid(self, tmp_path, kind, limit):
@@ -694,6 +708,7 @@ class TestOneRunner:
             ("", "out: the report path is empty"),
             ("/", "out: report path '/' is a directory"),
             (f"{tmp_path / 'dir'}/", f"out: report path '{tmp_path / 'dir'}/' is a directory"),
+            (f"{tmp_path / 'nodir'}/", f"out: report path '{tmp_path / 'nodir'}/' ends in a path separator"),
         ]
         for out, message in cases:
             assert main([command, "--rounds", "1", "--out", out]) == 1
@@ -704,3 +719,7 @@ class TestOneRunner:
         path.write_text("rounds = 1\nout =\n")
         assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: line 2: out: the report path is empty\n"
+        path.write_text(f"rounds = 1\nout = {tmp_path / 'nodir'}/\n")
+        assert main([command, "--config", str(path)]) == 1
+        separator = f"out: report path '{tmp_path / 'nodir'}/' ends in a path separator"
+        assert capsys.readouterr().err == f"error: {path}: line 2: {separator}\n"

@@ -24,7 +24,6 @@ from florasim import (
 )
 from florasim.data import BLOCK_ROWS, argmax_labels, row_blocks
 from florasim.simulation import _build_world
-from florasim.training import _mean_row_loss
 
 DIM = Dim(16, 16)
 ALL_KINDS = [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
@@ -334,7 +333,7 @@ class TestWorldMemory:
         adapter = LoraAdapter(a=gen.normal(0, 0.1, (16, 64)), b=gen.normal(0, 0.1, (64, 16)))
         model = ToyModel(world.base, adapter)
         baseline, peak = traced_peak(
-            lambda: _mean_row_loss(world.base, None, held.inputs, held.targets, loss)
+            lambda: evaluate(world.base, held, loss)
         )
         assert baseline == world.baseline
         assert peak <= 0.5 * eval_bytes, peak / eval_bytes

@@ -25,7 +25,7 @@ from florasim import (
 )
 from florasim.data import BLOCK_ROWS, row_blocks
 from florasim.rng import derive_seed
-from florasim.training import LOSS_KINDS, _mean_row_loss, _target_matrix, evaluate
+from florasim.training import LOSS_KINDS, _target_matrix, evaluate
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -188,7 +188,7 @@ class TestEvaluate:
         shard = ClientShard(0, batch.inputs, batch.targets)
         return [
             lambda: evaluate(model, batch, loss),
-            lambda: _mean_row_loss(model.base, None, batch.inputs, batch.targets, loss),
+            lambda: evaluate(model.base, batch, loss),
             lambda: loss_and_grads(model, batch, loss),
             lambda: local_train(model, shard, TrainConfig(loss=loss), 0),
         ]
@@ -355,7 +355,7 @@ class TestBlockedEvaluation:
     def test_matches_the_whole_array_loss(self, count, dim, loss_kind):
         base, adapter, xs, targets = self.held_out(count, dim, loss_kind, seed=count * 1000 + dim)
         softmax = loss_kind == "softmax-cross-entropy"
-        bare = _mean_row_loss(base, None, xs, targets, loss_kind)
+        bare = evaluate(base, Batch(xs, targets), loss_kind)
         reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
         self.assert_matches(bare, reference, exact=softmax)
         adapted = evaluate(ToyModel(base, adapter), Batch(xs, targets), loss_kind)
@@ -369,7 +369,7 @@ class TestBlockedEvaluation:
         count = 2 * BLOCK_ROWS + 1
         assert row_blocks(count) == [(0, BLOCK_ROWS), (BLOCK_ROWS, count)]
         base, adapter, xs, targets = self.held_out(count, 64, loss_kind, seed=77)
-        bare = _mean_row_loss(base, None, xs, targets, loss_kind)
+        bare = evaluate(base, Batch(xs, targets), loss_kind)
         reference = whole_array_loss(base.w, None, xs, targets, loss_kind)
         self.assert_matches(bare, reference, exact=loss_kind == "softmax-cross-entropy")
         # The tail row scores as it does on its own, and the rest as the rest.
@@ -619,6 +619,31 @@ class TestLocalTrainKeepsItsBits:
         assert not np.array_equal(ref_b, model.adapter.b)  # training moved the adapter
         assert trained.a.tobytes() == ref_a.tobytes()
         assert trained.b.tobytes() == ref_b.tobytes()
+
+
+class TestLocalTrainAppliesTheCheckedGradient:
+    """``local_train`` and ``loss_and_grads`` share one step, so the gradient
+    the finite-difference tests check is the one SGD applies: one full-batch
+    epoch on at most BLOCK_ROWS rows is one step over the permuted rows."""
+
+    @pytest.mark.parametrize("loss_kind", LOSS_KINDS)
+    @pytest.mark.parametrize("size, m, n, rank", [(2, 4, 3, 2), (57, 12, 20, 3), (BLOCK_ROWS, 16, 16, 4)])
+    def test_one_step_is_factor_minus_lr_times_loss_and_grads(self, loss_kind, size, m, n, rank):
+        gen = np.random.default_rng(size * 10 + m)
+        pool = size + 9
+        xs = gen.normal(size=(pool, n))
+        ys = xs @ gen.normal(scale=0.3, size=(m, n)).T
+        if loss_kind == "softmax-cross-entropy":
+            ys = np.argmax(ys, axis=1)
+        shard = ClientShard(client_id=0, xs=xs, ys=ys, rows=gen.permutation(pool)[:size])
+        model = random_model(gen, m, n, rank)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=size, loss=loss_kind)
+        trained = local_train(model, shard, cfg, 5)
+        rows = shard.rows[np.random.default_rng(derive_seed(5, 0)).permutation(size)]
+        _, d_a, d_b = loss_and_grads(model, Batch(xs[rows], ys[rows]), loss_kind)
+        assert not np.array_equal(trained.b, model.adapter.b)  # the step moved the adapter
+        assert trained.a.tobytes() == (model.adapter.a - cfg.learning_rate * d_a).tobytes()
+        assert trained.b.tobytes() == (model.adapter.b - cfg.learning_rate * d_b).tobytes()
 
 
 class TestOwnedFactors:
