@@ -45,7 +45,6 @@ from .lora import (
 from .simulation import (
     ClientRuntime,
     ServerState,
-    apply_updates,
     compare_strategies,
     run_experiment,
     run_round,
@@ -79,7 +78,6 @@ __all__ = [
     "aggregate_fedit",
     "aggregate_flora",
     "aggregate_zero_padding",
-    "apply_updates",
     "charge_round",
     "compare_strategies",
     "config_to_text",

@@ -70,6 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 # Flags that choose where the config comes from rather than set one of its keys.
 _SOURCE_FLAGS = ("command", "preset", "config")
 
+# The config key a command does not read, and why it refuses the flag that
+# sets it; a preset's or file's value of that key is ignored.
+_UNREAD = {
+    "run": ("strategies", "run trains the one strategy --strategy names"),
+    "sweep-scaling": ("scaling_override", "sweep-scaling weights the clients by each factor it sweeps"),
+}
+
 
 def _config_from_args(args: argparse.Namespace):
     overrides = {key: value for key, value in vars(args).items() if key not in _SOURCE_FLAGS}
@@ -87,8 +94,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return 0 if run_all() else 1
 
+        if args.command in _UNREAD:
+            key, why = _UNREAD[args.command]
+            if getattr(args, key) is not None:
+                raise ConfigError([f"{key}: {why}"])
+            # An empty flag value overrides the ignored key, so it is not validated.
+            setattr(args, key, "")
         config = _config_from_args(args)
-        strategies = [config.strategy] if args.command == "run" else list(config.strategies) or [config.strategy]
+        strategies = list(config.strategies) or [config.strategy]
         if args.command == "sweep-scaling":
             factors = SCALING_SWEEP
             reports = [_sweep_path(config.out, factor) for factor in factors]

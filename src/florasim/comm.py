@@ -6,12 +6,13 @@ client) for every strategy including full fine-tuning, so every total
 starts from the same broadcast. From then on each round charges, per client:
 
     upload              rank_k * (m + n)              any adapter strategy
-    download, averaging max rank * (m + n)            the averaged pair
+    download, averaging max rank * (m + n)            the averaged pair (ranks unchecked)
     download, padding   max rank * (m + n)            the padded pair
     download, stacking  (sum of ranks) * (m + n)      the stacked pair
     full fine-tuning    m * n up and m * n down
 
-Averaging requires equal ranks, so its max rank is the one rank. Each
+The ledger does not check averaging's equal-rank rule; the round checks it
+before any client trains, so in a run its max rank is the one rank. Each
 client's transmissions are charged to its client id. Standalone and
 centralized runs communicate nothing after the broadcast.
 """
@@ -21,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, get_type_hints
-
-from .errors import HeterogeneousRankError
 
 PAYLOAD_KINDS = ("full_model", "adapter", "stacked_adapter")
 DIRECTIONS = ("up", "down")
@@ -111,8 +110,6 @@ def charge_round(
             ledger.add(CommEvent(round_index, "down", client, m * n, "full_model"))
         return len(participants) * m * n, down + len(participants) * m * n
 
-    if strategy == "fedit" and len(set(ranks)) != 1:
-        raise HeterogeneousRankError(f"averaging cannot run with mixed ranks {sorted(set(ranks))}")
     if strategy == "flora":
         down_count, down_kind = sum(ranks) * (m + n), "stacked_adapter"
     else:

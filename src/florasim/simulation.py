@@ -4,7 +4,9 @@ One round: every client draws a fresh zero-update adapter, fine-tunes it on
 its shard, and uploads it; the server aggregates the uploads under the chosen
 strategy and merges the aggregate update into the global weights with
 coefficient one; the averaging strategies' noise is split from that same
-aggregate. Redistribution is implicit: every client trains from the
+aggregate. ``run_round`` does all of it itself: it trains the participants,
+weights their uploads, aggregates, merges, splits the noise, evaluates and
+charges the round. Redistribution is implicit: every client trains from the
 server's current base, which is numerically identical to shipping the
 stacked factors and multiplying locally, while the ledger charges the
 protocol-accurate stacked sizes, so communication totals match the real wire
@@ -173,30 +175,6 @@ def _close_round(
     return ReportRow(server.round, strategy, loss, loss, noise, *traffic)
 
 
-def apply_updates(
-    base: BaseWeights, updates: list[WeightedUpdate], strategy: str
-) -> tuple[BaseWeights, LoraAdapter, np.ndarray]:
-    """Aggregate uploads under a strategy and merge into the base weights.
-
-    Returns the merged base, the aggregate and the dense update b @ a that
-    was merged, from which an averaging round splits its noise.
-    """
-    if strategy == "flora":
-        aggregate = aggregate_flora(updates)
-    elif strategy == "fedit":
-        aggregate = aggregate_fedit(updates)
-    elif strategy == "zero_padding":
-        aggregate = aggregate_zero_padding(updates)
-    else:
-        raise ConfigError([f"strategy: {strategy!r} is not a federated aggregation strategy"])
-    if (aggregate.m, aggregate.n) != (base.m, base.n):
-        raise ValueError(
-            f"shape mismatch: base is {base.m}x{base.n}, update is {aggregate.m}x{aggregate.n}"
-        )
-    delta = adapter_delta(aggregate)
-    return BaseWeights(base.w + delta), aggregate, delta
-
-
 def run_round(
     server: ServerState,
     clients: list[ClientRuntime],
@@ -238,12 +216,20 @@ def run_round(
         updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
         try:
-            server.base, _, delta = apply_updates(server.base, updates, strategy)
+            if strategy == "flora":
+                aggregate = aggregate_flora(updates)
+            elif strategy == "fedit":
+                aggregate = aggregate_fedit(updates)
+            else:
+                aggregate = aggregate_zero_padding(updates)
+            delta = adapter_delta(aggregate)
+            server.base = BaseWeights(server.base.w + delta)
             noise = None if strategy == "flora" else fedit_noise(updates, delta).relative_noise
         except ValueError as exc:
-            # After the checks above the merge and the split fail only on
-            # non-finite numbers; the per-client updates are formed again only
-            # on this path.
+            # After the checks above the aggregate, the merge and the split
+            # fail only on non-finite numbers (a sum of finite uploads can
+            # overflow); the per-client updates are formed again only on
+            # this path.
             diverged = [
                 c.client_id
                 for c, u in zip(clients, updates)
@@ -296,7 +282,10 @@ def _build_world(config) -> _World:
         labels = argmax_labels(train_task.ys)
         shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
         held = Batch(held.inputs, argmax_labels(held.targets))
-    baseline = evaluate(task.base, held, config.loss)
+    with np.errstate(**_QUIET):
+        baseline = evaluate(task.base, held, config.loss)
+    if not np.isfinite(baseline):
+        raise ConfigError([f"noise_std: {config.noise_std:g} makes the baseline held-out loss non-finite"])
     participants = [list(range(config.clients))] * config.rounds
     if config.client_fraction < 1.0:
         count = max(1, int(np.ceil(config.client_fraction * config.clients)))

@@ -723,3 +723,60 @@ class TestOneRunner:
         assert main([command, "--config", str(path)]) == 1
         separator = f"out: report path '{tmp_path / 'nodir'}/' ends in a path separator"
         assert capsys.readouterr().err == f"error: {path}: line 2: {separator}\n"
+
+
+def no_rounds(*args):
+    raise AssertionError("a round ran before the command's flags and keys were checked")
+
+
+class TestUnreadKeys:
+    """run reads no strategies and sweep-scaling no scaling_override: each
+    refuses the flag and ignores a preset's or file's value."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--strategies", "fedit,zero_padding"], "strategies: run trains the one strategy --strategy names"),
+            (
+                ["sweep-scaling", "--scaling-override", "0.3"],
+                "scaling_override: sweep-scaling weights the clients by each factor it sweeps",
+            ),
+        ],
+    )
+    def test_a_flag_the_command_would_ignore_exits_one(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
+        assert main([*argv, *TINY, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_names_the_file_line_that_set_its_one_strategy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
+        path = tmp_path / "f.cfg"
+        path.write_text("strategy = fedit\nstrategies = flora\n")
+        assert main(["run", "--preset", "hetero", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 1: strategy: fedit requires homogeneous ranks\n"
+
+    def test_run_ignores_the_strategies_of_a_file(self, tmp_path):
+        path = tmp_path / "f.cfg"
+        # A repeated strategy is invalid wherever the list is read.
+        path.write_text("strategies = fedit,fedit\n")
+        assert main(["run", *TINY, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
+        assert {row.strategy for row in read_report(tmp_path / "x.csv")} == {"flora"}
+
+    def test_sweep_ignores_the_scaling_override_of_a_file(self, tmp_path):
+        path = tmp_path / "f.cfg"
+        path.write_text("scaling_override = 0.3\n")
+        assert main(["sweep-scaling", *TINY, "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["sweep-scaling", *TINY, "--out", str(tmp_path / "b.csv")]) == 0
+        for factor in ("0.01", "0.05", "0.1", "0.2"):
+            assert (tmp_path / f"a.sf{factor}.csv").read_bytes() == (tmp_path / f"b.sf{factor}.csv").read_bytes()
+
+
+def test_a_baseline_loss_that_is_not_finite_exits_one_naming_noise_std(tmp_path, capsys):
+    # The targets stay finite, but the held-out squared error overflows.
+    code = main(["run", *TINY, "--noise-std", "1e160", "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: noise_std: 1e+160 makes the baseline held-out loss non-finite\n"
+    )
+    assert not (tmp_path / "x.csv").exists()

@@ -15,8 +15,6 @@ from florasim import (
     ExperimentConfig,
     LoraAdapter,
     WeightedUpdate,
-    adapter_delta,
-    apply_updates,
     compare_strategies,
     fedit_noise,
     oracle_delta,
@@ -64,6 +62,26 @@ def first_round_uploads(server, clients, cfg, policy):
         train_seed = derive_seed(c.seed, 0, _TAG_TRAIN)
         uploads.append(local_train(ToyModel(server.base, adapter), c.shard, cfg, train_seed))
     return uploads
+
+
+# Two clients whose rank-1 uploads touch disjoint rows and columns.
+TWO_CLIENT_UPLOADS = [
+    LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]),
+    LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]),
+]
+
+
+def merge_fixed_uploads(monkeypatch, strategy, base, uploads):
+    """One round on a 2x2 world from the given base, in which client i
+    uploads uploads[i] at weight 0.5; returns the server after the round."""
+    monkeypatch.setattr(simulation, "local_train", lambda model, shard, cfg, seed: uploads[shard.client_id])
+    config = ExperimentConfig(
+        m=2, n=2, clients=len(uploads), ranks=tuple(u.rank for u in uploads), samples=40, teacher_rank=1
+    )
+    _, clients, eval_set = fresh_world(config)
+    server = ServerState(base=base)
+    run_round(server, clients, strategy, TrainConfig(), eval_set, scaling_override=0.5)
+    return server
 
 
 class TestRunRound:
@@ -116,64 +134,28 @@ class TestRunRound:
         expected = w_prev + report.signal + report.cross
         assert np.abs(server.base.w - expected).max() <= 16 * EPS * max(1.0, np.abs(expected).max())
 
-    def test_two_client_fixture_merge(self):
+    def test_two_client_fixture_merge(self, monkeypatch):
         base = BaseWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        updates = [
-            WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 0.5),
-            WeightedUpdate(LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]), 0.5),
-        ]
-        merged, aggregate, delta = apply_updates(base, updates, "flora")
-        assert merged.w.tolist() == [[2.0, 2.0], [3.0, 6.0]]
-        assert aggregate.rank == 2
-        assert delta.tobytes() == adapter_delta(aggregate).tobytes()
-        assert merged.w.tobytes() == (base.w + delta).tobytes()
-
-    def test_merge_rejects_an_update_of_another_shape(self):
-        # A 1x2 update would broadcast over every row of a 3x2 base.
-        update = WeightedUpdate(LoraAdapter(a=[[1.0, 2.0]], b=[[1.0]]), 1.0)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            apply_updates(BaseWeights(np.zeros((3, 2))), [update], "flora")
+        server = merge_fixed_uploads(monkeypatch, "flora", base, TWO_CLIENT_UPLOADS)
+        assert server.base.w.tolist() == [[2.0, 2.0], [3.0, 6.0]]
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
-    def test_merging_fresh_adapters_keeps_the_base_bytes(self, strategy):
-        # A fresh adapter's b is zero, so every aggregate's update is exactly zero.
-        base = BaseWeights(np.array([[1.0, 0.5], [-2.0, 3.0]]))
-        updates = [
-            WeightedUpdate(init_adapter(base.dim, 2, InitPolicy(), s), w)
-            for s, w in [(1, 0.25), (2, 0.75)]
-        ]
-        merged, _, _ = apply_updates(base, updates, strategy)
-        assert merged.w.tobytes() == base.w.tobytes()
+    def test_merge_leaves_the_given_base_untouched(self, monkeypatch, strategy):
+        base = BaseWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        before = base.w.tobytes()
+        server = merge_fixed_uploads(monkeypatch, strategy, base, TWO_CLIENT_UPLOADS)
+        assert server.base is not base
+        assert base.w.tobytes() == before
+        assert not server.base.w.flags.writeable
 
-    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
-    def test_merge_leaves_the_given_base_untouched(self, strategy):
-        base = BaseWeights(np.eye(2))
-        update = WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 1.0)
-        merged, _, _ = apply_updates(base, [update], strategy)
-        assert merged.w.tolist() == [[3.0, 0.0], [0.0, 1.0]]
-        assert np.array_equal(base.w, np.eye(2))
-        assert not merged.w.flags.writeable
-
-    def test_averaging_hand_merges(self):
+    def test_averaging_hand_merges(self, monkeypatch):
         # Same two clients as the flora fixture: averaging mixes their factors.
-        base = BaseWeights(np.zeros((2, 2)))
-        updates = [
-            WeightedUpdate(LoraAdapter(a=[[2.0, 0.0]], b=[[1.0], [0.0]]), 0.5),
-            WeightedUpdate(LoraAdapter(a=[[0.0, 4.0]], b=[[0.0], [1.0]]), 0.5),
-        ]
         for strategy in ("fedit", "zero_padding"):
-            merged, aggregate, delta = apply_updates(base, updates, strategy)
-            assert merged.w.tolist() == [[0.5, 1.0], [0.5, 1.0]]
-            assert aggregate.rank == 1
-            assert delta.tolist() == merged.w.tolist()
+            base = BaseWeights(np.zeros((2, 2)))
+            server = merge_fixed_uploads(monkeypatch, strategy, base, TWO_CLIENT_UPLOADS)
+            assert server.base.w.tolist() == [[0.5, 1.0], [0.5, 1.0]]
 
     @pytest.mark.parametrize("strategy", ["standalone", "centralized", "full_ft"])
-    def test_merge_rejects_a_strategy_without_aggregation(self, strategy):
-        update = WeightedUpdate(LoraAdapter(a=[[1.0]], b=[[1.0]]), 1.0)
-        with pytest.raises(ConfigError, match=strategy):
-            apply_updates(BaseWeights(np.zeros((1, 1))), [update], strategy)
-
-    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
     def test_a_reference_strategy_cannot_drive_a_round(self, monkeypatch, strategy):
         def no_training(*args):
             raise AssertionError("a client trained before the strategy was checked")
