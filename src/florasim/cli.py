@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .comm import emit_rows
-from .config import PRESETS, SCALING_SWEEP, parse_config
+from .config import PRESETS, SCALING_SWEEP, parse_config_located
 from .errors import ConfigError
 from .simulation import STRATEGIES, run_comparisons
 from .verification import run_all
@@ -79,8 +79,10 @@ _UNREAD = {
 
 
 def _config_from_args(args: argparse.Namespace):
+    """The config the flags, preset and file give, and the function that
+    names the file and line of a key a later problem is about."""
     overrides = {key: value for key, value in vars(args).items() if key not in _SOURCE_FLAGS}
-    return parse_config(path=args.config, overrides=overrides, preset=args.preset)
+    return parse_config_located(path=args.config, overrides=overrides, preset=args.preset)
 
 
 def _sweep_path(out: str, factor: float) -> str:
@@ -100,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError([f"{key}: {why}"])
             # An empty flag value overrides the ignored key, so it is not validated.
             setattr(args, key, "")
-        config = _config_from_args(args)
+        config, locate = _config_from_args(args)
         strategies = list(config.strategies) or [config.strategy]
         if args.command == "sweep-scaling":
             factors = SCALING_SWEEP
@@ -109,10 +111,16 @@ def main(argv: list[str] | None = None) -> int:
             # directory fails now, not after the last round.
             taken = [f"out: report path {path!r} is a directory" for path in reports if Path(path).is_dir()]
             if taken:
-                raise ConfigError(taken)
+                raise ConfigError([locate(problem) for problem in taken])
         else:
             factors, reports = [config.scaling_override], [config.out]
-        for path, comparison in zip(reports, run_comparisons(config, strategies, factors)):
+        try:
+            comparisons = run_comparisons(config, strategies, factors)
+        except ConfigError as exc:
+            # Building the task finds some problems (a task too large to
+            # allocate, a non-finite baseline) that parse_config cannot.
+            raise ConfigError([locate(problem) for problem in exc.problems]) from None
+        for path, comparison in zip(reports, comparisons):
             emit_rows(comparison.to_rows(), path, seed=config.seed)
             finals = ", ".join(f"{s}={v:.6g}" for s, v in comparison.final_losses().items())
             print(f"wrote {path} ({finals})")

@@ -9,8 +9,10 @@ field and reports all problems at once.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -195,6 +197,17 @@ def parse_config(
     A problem with a key the file set names the file and the key's line; a
     problem with default values names the file too, if one was read.
     """
+    return parse_config_located(path, overrides, preset)[0]
+
+
+def parse_config_located(
+    path: str | Path | None = None,
+    overrides: dict[str, str] | None = None,
+    preset: str | None = None,
+) -> tuple[ExperimentConfig, Callable[[str], str]]:
+    """``parse_config``, plus the function that names the file and line of a
+    problem found later, such as one found while the task is built, the way
+    ``parse_config`` names its own."""
     problems: list[str] = []
     # Each layer maps a key to (where it was set, its raw text).
     layers: list[dict[str, tuple[str, str]]] = []
@@ -246,7 +259,7 @@ def parse_config(
         problems.append(f"out: directory {str(out.parent)!r} of {config.out!r} does not exist")
     if problems:
         raise ConfigError([_locate(problem, where, path) for problem in problems])
-    return config
+    return config, functools.partial(_locate, where=where, path=path)
 
 
 def _locate(problem: str, where: dict[str, str], path: str | Path | None) -> str:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blas import one_thread
 from .aggregation import (
     WeightedUpdate,
     aggregate_fedit,
@@ -381,14 +382,20 @@ def run_comparisons(
 
     The config is validated and the world (task, shards, held-out set,
     participants) built once, since the world reads no scaling field; every
-    (factor, strategy) run gets its own fresh server and clients.
+    (factor, strategy) run gets its own fresh server and clients. BLAS runs
+    on one thread throughout, so the reports do not depend on the caller's
+    thread count.
     """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
     replace(config, strategies=tuple(strategies)).validate()
-    world = _build_world(config)
     swept = [replace(config, scaling_override=f) for f in factors]
-    return [ComparisonReport(c.seed, tuple(strategies), {s: _run(c, s, world) for s in strategies}) for c in swept]
+    with one_thread():
+        world = _build_world(config)
+        return [
+            ComparisonReport(c.seed, tuple(strategies), {s: _run(c, s, world) for s in strategies})
+            for c in swept
+        ]
 
 
 def compare_strategies(config, strategies: list[str]) -> ComparisonReport:

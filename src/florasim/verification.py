@@ -15,6 +15,7 @@ from statistics import median
 
 import numpy as np
 
+from ._blas import one_thread
 from .aggregation import (
     WeightedUpdate,
     aggregate_fedit,
@@ -312,10 +313,12 @@ CHECKS = (
 
 
 def run_all(echo=print) -> bool:
-    """Run every check, print one PASS/FAIL line each, return overall result."""
+    """Run every check on one BLAS thread, print one PASS/FAIL line each,
+    return overall result."""
     all_ok = True
-    for name, check in CHECKS:
-        ok, detail = check()
-        all_ok = all_ok and ok
-        echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    with one_thread():
+        for name, check in CHECKS:
+            ok, detail = check()
+            all_ok = all_ok and ok
+            echo(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

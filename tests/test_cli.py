@@ -350,7 +350,7 @@ class TestConfigFlags:
         flags = {a.dest: a.option_strings[0] for a in run._actions if a.dest not in sources}
         assert set(flags) == set(FLAG_VALUES)
         argv = ["run", *(part for dest, flag in flags.items() for part in (flag, FLAG_VALUES[dest]))]
-        config = _config_from_args(parser.parse_args(argv))
+        config, _ = _config_from_args(parser.parse_args(argv))
         assert config == parse_config(overrides=FLAG_VALUES)
         default = ExperimentConfig()
         assert all(getattr(config, key) != getattr(default, key) for key in FLAG_VALUES)
@@ -360,7 +360,7 @@ class TestConfigFlags:
         path.write_text("rounds = 5\nseed = 7\n")
         args = build_parser().parse_args(["run", "--preset", "hetero", "--config", str(path), "--seed", "8"])
         expected = parse_config(path=path, overrides={"seed": "8"}, preset="hetero")
-        assert _config_from_args(args) == expected
+        assert _config_from_args(args)[0] == expected
 
 
 class TestReadme:
@@ -780,3 +780,72 @@ def test_a_baseline_loss_that_is_not_finite_exits_one_naming_noise_std(tmp_path,
         "error: noise_std: 1e+160 makes the baseline held-out loss non-finite\n"
     )
     assert not (tmp_path / "x.csv").exists()
+
+
+class TestProblemsFoundAfterParsing:
+    """A problem found after parse_config returns, by the sweep's report
+    paths or while the task is built, names the file and line that set its
+    key, as parse_config's own problems do."""
+
+    def test_a_sweep_path_that_is_a_directory_names_the_line_that_set_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("s.cfg").write_text("rounds = 1\nout = r.csv\n")
+        Path("r.sf0.1.csv").mkdir()
+        assert main(["sweep-scaling", "--config", "s.cfg"]) == 1
+        assert capsys.readouterr().err == "error: s.cfg: line 2: out: report path 'r.sf0.1.csv' is a directory\n"
+
+    def test_a_non_finite_baseline_names_the_line_that_set_noise_std(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("n.cfg").write_text("rounds = 1\nnoise_std = 1e160\n")
+        assert main(["run", *TINY, "--config", "n.cfg", "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: n.cfg: line 2: noise_std: 1e+160 makes the baseline held-out loss non-finite\n"
+        )
+        assert not Path("x.csv").exists()
+
+    def test_a_task_too_large_to_allocate_names_the_line_that_set_m(self, tmp_path, capsys, monkeypatch):
+        # gen_task is never run at this size: it would ask for 74.5 GiB.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
+        monkeypatch.chdir(tmp_path)
+        Path("big.cfg").write_text("samples = 1000\nm = 100000\nn = 100000\n")
+        for command in ("run", "compare", "sweep-scaling"):
+            assert main([command, "--config", "big.cfg", "--out", "x.csv"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: big.cfg: line 2: m, n, samples: the task needs ")
+            assert err.endswith("more than could be allocated\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "big.cfg"]
+
+
+# A comparison at m = n = 256 whose fedit relative noise comes from BLAS
+# reductions large enough for OpenBLAS to split across threads.
+WIDE = ["compare", "--m", "256", "--n", "256", "--samples", "4000", "--rounds", "3", "--strategies", "flora,fedit"]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "florasim.cli", *WIDE, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": str(Path(florasim.__file__).parents[1]),
+            },
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
+def test_reports_are_the_same_without_blas_thread_control(tmp_path, monkeypatch):
+    argv = ["compare", "--preset", "homo16", "--strategies", ",".join(STRATEGIES)]
+    assert main([*argv, "--out", str(tmp_path / "controlled.csv")]) == 0
+    monkeypatch.setattr("florasim._blas._controls", lambda: None)
+    assert main([*argv, "--out", str(tmp_path / "uncontrolled.csv")]) == 0
+    assert (tmp_path / "controlled.csv").read_bytes() == (tmp_path / "uncontrolled.csv").read_bytes()
