@@ -105,11 +105,17 @@ class ClientShard:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys)
+        if xs.ndim != 2:
+            raise ValueError(f"shard pool inputs must be a (count, n) array, got shape {xs.shape}")
         if len(xs) != len(ys):
             raise ValueError("shard pool must hold as many inputs as targets")
-        rows = np.arange(len(xs)) if self.rows is None else np.asarray(self.rows, dtype=np.intp)
+        rows = np.arange(len(xs)) if self.rows is None else np.asarray(self.rows)
         if rows.ndim != 1 or len(rows) < 1:
             raise ValueError("shard must hold at least one (x, y) pair")
+        if rows.dtype.kind not in "iu":
+            # A boolean mask would become rows 0 and 1, and float rows would truncate.
+            raise ValueError(f"shard rows must be integer indices, got dtype {rows.dtype}")
+        rows = rows.astype(np.intp, copy=False)
         if rows.min() < 0 or rows.max() >= len(xs):
             raise ValueError(f"shard rows must index a pool of {len(xs)} samples")
         for arr in (xs, ys, rows):
@@ -125,7 +131,13 @@ class ClientShard:
 
 @dataclass(frozen=True)
 class Batch:
-    """Inputs (count x n) with regression targets (count x m) or class indices."""
+    """Inputs (count x n) with targets: a (count x m) matrix for either loss,
+    or softmax class indices.
+
+    Inside the package targets are the matrix: regression values, or the
+    one-hot rows ``simulation._build_world`` encodes once for a softmax
+    world. Class indices from a caller are checked and one-hot encoded by
+    ``training._target_matrix``, once per loss-path call."""
 
     inputs: np.ndarray
     targets: np.ndarray

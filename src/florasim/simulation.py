@@ -44,6 +44,7 @@ from .comm import CommLedger, ReportRow, charge_round
 from .data import (
     Batch,
     ClientShard,
+    GlobalTask,
     SkewSpec,
     argmax_labels,
     gen_task,
@@ -54,7 +55,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .lora import BaseWeights, Dim, InitPolicy, LoraAdapter, adapter_delta, init_adapter
 from .rng import derive_seed
-from .training import ToyModel, TrainConfig, evaluate, local_train
+from .training import ToyModel, TrainConfig, _target_matrix, evaluate, local_train
 
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
@@ -263,7 +264,13 @@ class _World:
 def _build_world(config) -> _World:
     """Task, holdout, shards, baseline loss and participation schedule from a
     validated config. Under partial participation round t's clients are a
-    uniform draw seeded from (seed, _TAG_SAMPLING, t)."""
+    uniform draw seeded from (seed, _TAG_SAMPLING, t).
+
+    Targets are one (count, m) float matrix for either loss. A softmax
+    world's class is each generated target row's argmax, one-hot encoded
+    here once for the whole pool, so its shards and held-out batch hold
+    read-only one-hot rows. A one-hot row's argmax is its class, so the
+    label-skew partition is the one the generated targets give."""
     dim = Dim(config.m, config.n)
     try:
         task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
@@ -276,13 +283,14 @@ def _build_world(config) -> _World:
                 f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated"
             ]
         ) from exc
+    if config.loss == "softmax-cross-entropy":
+        teacher, base, xs, labels = task.teacher, task.base, task.xs, argmax_labels(task.ys)
+        # Drop the generated targets first, so no moment holds two target pools.
+        del task
+        task = GlobalTask(teacher, base, xs, _target_matrix(labels, config.m, config.loss))
     train_task, held = holdout_split(task)
     spec = SkewSpec(config.skew, config.skew_strength, derive_seed(config.seed, _TAG_PARTITION))
     shards = partition(train_task, config.clients, spec)
-    if config.loss == "softmax-cross-entropy":
-        labels = argmax_labels(train_task.ys)
-        shards = [ClientShard(s.client_id, s.xs, labels, s.rows) for s in shards]
-        held = Batch(held.inputs, argmax_labels(held.targets))
     with np.errstate(**_QUIET):
         baseline = evaluate(task.base, held, config.loss)
     if not np.isfinite(baseline):

@@ -31,9 +31,17 @@ higher (242 MB) than 256-row chunks (235 MB). A chunk's inputs and base
 product go into two buffers made once per call: made afresh per chunk, the
 freed memory went back to the system and was faulted in again by the next
 chunk (47k page faults against 6k in a 10-client m=n=256 comparison, and
-about 10% of local training's time). A chunk's targets are one float matrix
-(the values, or one-hot rows for softmax), so a step gathers and indexes
-nothing.
+about 10% of local training's time). A chunk's targets are gathered the same
+way, into a third buffer, from the pool's target matrix, so a step gathers
+and indexes nothing.
+
+Targets are one thing inside the package: a (count, m) float matrix, the
+values for squared error and one-hot rows for softmax cross-entropy.
+``simulation._build_world`` one-hot encodes a softmax world's labels once,
+for the pool and the held-out batch. Targets from outside, squared-error
+values, softmax class indices or softmax target rows, are checked and
+converted by ``_target_matrix`` once per call of ``evaluate``,
+``loss_and_grads`` or ``local_train``, never per block or chunk.
 
 At the sizes most runs use (m = n = 16, batches of 16 rows) a step's time is
 numpy's fixed cost per call, not arithmetic. On a 2-vCPU x86 VM (numpy 2.4,
@@ -123,35 +131,39 @@ class TrainConfig:
         _check_loss(self.loss)
 
 
-def _target_matrix(targets: np.ndarray, m: int, loss_kind: str) -> np.ndarray:
-    """Float targets the residual subtracts: the values themselves for squared
-    error, one-hot rows of the class indices for softmax cross-entropy.
+def _target_matrix(targets, m: int, loss_kind: str, inputs: np.ndarray | None = None, n: int = 0) -> np.ndarray:
+    """The (count, m) float target matrix the residual subtracts. A (count, m)
+    array is taken as it is for either loss, without a copy when it is float64
+    already; softmax class indices become one-hot rows.
 
     Every loss path (``evaluate``, of a model or of a bare base,
-    ``loss_and_grads`` and ``local_train``) forms its targets here, so this
-    is where an unknown loss name, squared-error targets that are not
-    (count, m), and softmax labels that are not whole numbers in [0, m) are
-    rejected. ``local_train`` calls it once per chunk, not per step."""
+    ``loss_and_grads`` and ``local_train``) forms its targets here once per
+    call, and its blocks or chunks then only slice or gather rows. So this is
+    where an unknown loss name, inputs without the model's n features (when
+    given), targets of neither form, and softmax labels that are not whole
+    numbers in [0, m) are rejected. A softmax world's targets are one-hot
+    rows already (``simulation._build_world``), so there this is a shape
+    check."""
     _check_loss(loss_kind)
+    if inputs is not None and inputs.shape[1] != n:
+        raise ValueError(f"inputs have {inputs.shape[1]} features, model expects {n}")
+    values = np.asarray(targets)
+    if values.ndim == 2 and values.shape[1] == m:
+        return values.astype(np.float64, copy=False)
     if loss_kind == "squared-error":
-        values = np.asarray(targets, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != m:
-            raise ValueError(f"{loss_kind} targets must be (count, {m}), got shape {values.shape}")
-        return values
-    labels = np.asarray(targets)
-    if labels.ndim != 1:
-        raise ValueError(f"{loss_kind} expects a 1-d array of class indices, got shape {labels.shape}")
-    # The reductions .min and .max call, directly: this runs once per chunk.
-    kind = labels.dtype.kind
-    whole = kind in "bui" or (kind == "f" and (np.trunc(labels) == labels).all())
-    if not (whole and np.minimum.reduce(labels) >= 0 and np.maximum.reduce(labels) < m):
-        shown = f"dtype {labels.dtype}"
+        raise ValueError(f"{loss_kind} targets must be (count, {m}), got shape {values.shape}")
+    if values.ndim != 1:
+        raise ValueError(f"{loss_kind} targets must be (count,) labels or (count, {m}) rows, got shape {values.shape}")
+    kind = values.dtype.kind
+    whole = kind in "bui" or (kind == "f" and (np.trunc(values) == values).all())
+    if not (whole and values.min() >= 0 and values.max() < m):
+        shown = f"dtype {values.dtype}"
         if kind in "buif":
-            values = labels.astype(np.float64)
-            shown = f"{values[(values < 0) | (values >= m) | (np.trunc(values) != values)][0]:g}"
+            floats = values.astype(np.float64)
+            shown = f"{floats[(floats < 0) | (floats >= m) | (np.trunc(floats) != floats)][0]:g}"
         raise ValueError(f"{loss_kind} labels must be whole numbers in [0, {m}), got {shown}")
-    onehot = np.zeros((len(labels), m))
-    onehot[np.arange(len(labels)), labels.astype(int)] = 1.0
+    onehot = np.zeros((len(values), m))
+    onehot[np.arange(len(values)), values.astype(int)] = 1.0
     return onehot
 
 
@@ -217,11 +229,11 @@ def loss_and_grads(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean loss and gradients (loss, d_a, d_b) at the current adapter:
     the loss from ``evaluate``, the gradients from one ``_step`` over the
-    whole batch."""
-    loss = evaluate(model, batch, loss_kind)
+    whole batch, both against the one target matrix formed here."""
     a, b, x = model.adapter.a, model.adapter.b, batch.inputs
+    t = _target_matrix(batch.targets, model.base.m, loss_kind, x, model.base.n)
+    loss = evaluate(model, Batch(x, t), loss_kind)
     grads, d_a, d_b = _joined(model.adapter.rank, model.base.m, model.base.n)
-    t = _target_matrix(batch.targets, model.base.m, loss_kind)
     _step(x, x.dot(model.base.w.T), t, loss_kind, a.T, b, b.T, grads, d_a, d_b)
     return loss, d_a, d_b
 
@@ -251,18 +263,21 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
     # Whole batches of about BLOCK_ROWS rows (at least one batch) per hoisted
     # base product; the module docstring says why it is bounded.
     chunk = max(1, BLOCK_ROWS // batch) * batch
-    # One buffer each for a chunk's inputs and base product, reused by every
-    # chunk. The shard's rows were checked to index the pool, so mode="clip"
-    # never clips; the default mode would copy the buffer through a temporary.
+    # The pool's target matrix, formed once per call, and one buffer each for
+    # a chunk's inputs, targets and base product, reused by every chunk. The
+    # shard's rows were checked to index the pool, so mode="clip" never
+    # clips; the default mode would copy the buffer through a temporary.
+    targets = _target_matrix(shard.ys, model.base.m, cfg.loss, shard.xs, model.base.n)
     xs_buf = np.empty((min(chunk, shard.size), shard.xs.shape[1]))
-    base_buf = np.empty((len(xs_buf), model.base.m))
+    ts_buf = np.empty((len(xs_buf), model.base.m))
+    base_buf = np.empty_like(ts_buf)
     for epoch in range(cfg.local_epochs):
         order = np.random.default_rng(derive_seed(seed, epoch)).permutation(shard.size)
         rows = shard.rows[order]
         for chunk_start in range(0, shard.size, chunk):
             idx = rows[chunk_start : chunk_start + chunk]
             xs = shard.xs.take(idx, axis=0, out=xs_buf[: len(idx)], mode="clip")
-            ts = _target_matrix(shard.ys[idx], model.base.m, cfg.loss)
+            ts = targets.take(idx, axis=0, out=ts_buf[: len(idx)], mode="clip")
             base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
             for start in range(0, len(idx), batch):
                 step = slice(start, start + batch)
@@ -289,14 +304,12 @@ def evaluate(
     """
     base, adapter = (model, None) if isinstance(model, BaseWeights) else (model.base, model.adapter)
     xs = batch.inputs
-    if xs.shape[1] != base.n:
-        raise ValueError(f"inputs have {xs.shape[1]} features, model expects {base.n}")
+    ts = _target_matrix(batch.targets, base.m, loss_kind, xs, base.n)
     losses = np.empty(len(xs))
     for start, stop in row_blocks(len(xs)):
         x = xs[start:stop]
         y = x @ base.w.T
         if adapter is not None:
             _, y = _outputs(x, y, adapter.a.T, adapter.b.T)
-        t = _target_matrix(batch.targets[start:stop], base.m, loss_kind)
-        losses[start:stop] = _loss(y, t, loss_kind)
+        losses[start:stop] = _loss(y, ts[start:stop], loss_kind)
     return float(losses.mean())

@@ -23,7 +23,8 @@ from florasim import (
     scaling_factors,
 )
 from florasim.data import BLOCK_ROWS, argmax_labels, row_blocks
-from florasim.simulation import _build_world
+from florasim.rng import derive_seed
+from florasim.simulation import _TAG_PARTITION, _build_world
 
 DIM = Dim(16, 16)
 ALL_KINDS = [("iid", 0.0), ("feature-shift", 1.0), ("size-skew", 1.5), ("label-skew", 3.0),
@@ -281,6 +282,36 @@ class TestClientShard:
                 ClientShard(0, xs, ys, np.array(rows, dtype=np.int64))
         with pytest.raises(ValueError):
             ClientShard(0, xs, ys[:4])
+
+    def test_rejects_a_malformed_pool_or_malformed_rows(self):
+        xs, ys = np.ones((4, 2)), np.zeros((4, 3))
+        # A mask once became rows [1, 0, 1, 0], and float rows were truncated.
+        for rows in (np.array([True, False, True, False]), np.array([0.5, 2.7])):
+            with pytest.raises(ValueError, match="shard rows must be integer indices"):
+                ClientShard(0, xs, ys, rows)
+        # A 1-d pool once failed in local_train, a 3-d one inside ndarray.take.
+        for pool in (np.ones(4), np.ones((4, 2, 2))):
+            with pytest.raises(ValueError, match=r"shard pool inputs must be a \(count, n\) array"):
+                ClientShard(0, pool, ys)
+
+
+class TestSoftmaxWorld:
+    def test_shards_and_held_out_batch_hold_one_hot_rows_of_the_generated_argmax(self):
+        config = ExperimentConfig(m=16, n=16, samples=2000, loss="softmax-cross-entropy",
+                                  skew="label-skew", skew_strength=3.0)
+        world = _build_world(config)
+        task = gen_task(DIM, config.samples, config.noise_std, config.seed, config.teacher_rank)
+        train, held = holdout_split(task)
+        pools = [world.held_out.targets] + [shard.ys for shard in world.shards]
+        for pool, targets in zip(pools, [held.targets] + [train.ys] * len(world.shards)):
+            assert pool.shape == targets.shape and pool.dtype == np.float64
+            assert not pool.flags.writeable
+            assert np.array_equal(pool, np.eye(16)[argmax_labels(targets)])
+        # The argmax of a one-hot row is its class, so the label-skew
+        # partition is the one the generated targets give.
+        spec = SkewSpec("label-skew", 3.0, derive_seed(config.seed, _TAG_PARTITION))
+        for shard, expected in zip(world.shards, partition(train, config.clients, spec), strict=True):
+            assert np.array_equal(shard.rows, expected.rows)
 
 
 def traced_peak(fn):

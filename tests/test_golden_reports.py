@@ -37,6 +37,13 @@ CASES = {
          "--skew-strength", "3.0"],
         None,
     ),
+    # The same partition under softmax: the only case whose partition depends
+    # on the argmax of the softmax targets.
+    "hetero_label_skew3_lr0.1_softmax.csv": (
+        ["--preset", "hetero", "--strategies", REFS, *LR01, "--skew", "label-skew",
+         "--skew-strength", "3.0", *SOFTMAX],
+        None,
+    ),
     "hetero_feature_size_skew1_lr0.1_softmax.csv": (
         ["--preset", "hetero", "--strategies", REFS, *LR01, "--skew", "feature-shift+size-skew",
          "--skew-strength", "1.0", *SOFTMAX],

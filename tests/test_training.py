@@ -181,10 +181,11 @@ class TestLossAndGrads:
 
 class TestEvaluate:
     @staticmethod
-    def loss_paths(targets, loss):
-        """Every loss path at m=3, on four rows with the given targets."""
+    def loss_paths(targets, loss, features=3):
+        """Every loss path at m=n=3, on four rows of the given width with the
+        given targets."""
         model = ToyModel(BaseWeights(np.eye(3)), init_adapter(Dim(3, 3), 1, InitPolicy(), 4))
-        batch = Batch(np.ones((4, 3)), targets)
+        batch = Batch(np.ones((4, features)), targets)
         shard = ClientShard(0, batch.inputs, batch.targets)
         return [
             lambda: evaluate(model, batch, loss),
@@ -201,11 +202,52 @@ class TestEvaluate:
             assert str(LOSS_KINDS) in str(err.value)
 
     def test_squared_error_targets_of_the_wrong_width_are_rejected(self):
-        # (4, 1) targets once broadcast against the (4, 3) outputs.
-        for path in self.loss_paths(np.ones((4, 1)), "squared-error"):
-            expected = r"^squared-error targets must be \(count, 3\), got shape \(4, 1\)$"
-            with pytest.raises(ValueError, match=expected):
+        # (4, 1) targets once broadcast against the (4, 3) outputs. Softmax
+        # takes (count, 3) target rows as well as class indices, so a (4, 2)
+        # matrix is neither and the message names both forms.
+        cases = [
+            ("squared-error", np.ones((4, 1)),
+             r"^squared-error targets must be \(count, 3\), got shape \(4, 1\)$"),
+            ("softmax-cross-entropy", np.ones((4, 2)),
+             r"^softmax-cross-entropy targets must be \(count,\) labels or \(count, 3\) rows, "
+             r"got shape \(4, 2\)$"),
+        ]
+        for loss, targets, expected in cases:
+            for path in self.loss_paths(targets, loss):
+                with pytest.raises(ValueError, match=expected):
+                    path()
+
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    def test_inputs_of_the_wrong_width_are_named_on_every_loss_path(self, loss):
+        # local_train once raised numpy's matmul core-dimension error here.
+        targets = np.array([0, 1, 2, 0]) if loss == "softmax-cross-entropy" else np.ones((4, 3))
+        for path in self.loss_paths(targets, loss, features=4):
+            with pytest.raises(ValueError, match=r"^inputs have 4 features, model expects 3$"):
                 path()
+
+    def test_one_hot_rows_give_the_bits_of_their_class_indices_on_every_loss_path(self):
+        # 600 rows cross evaluate's row blocks and local_train's chunks.
+        gen = np.random.default_rng(41)
+        model = random_model(gen, 5, 4, 2)
+        xs = gen.normal(size=(600, 4))
+        labels = gen.integers(0, 5, size=600)
+        onehot = np.eye(5)[labels]
+        rows = gen.permutation(600)[:457]
+        cfg = TrainConfig(learning_rate=0.05, batch_size=9, local_epochs=2, loss="softmax-cross-entropy")
+        results = []
+        for targets in (labels, onehot):
+            batch = Batch(xs, targets)
+            trained = local_train(model, ClientShard(0, xs, targets, rows), cfg, 5)
+            results.append([
+                evaluate(model, batch, cfg.loss),
+                evaluate(model.base, batch, cfg.loss),
+                *loss_and_grads(model, batch, cfg.loss),
+                trained.a,
+                trained.b,
+            ])
+        by_labels, by_rows = results
+        for got, want in zip(by_rows, by_labels):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize(
         "bad, shown",
