@@ -19,6 +19,7 @@ centralized runs communicate nothing after the broadcast.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, get_type_hints
@@ -173,19 +174,29 @@ def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
+# The first line emit_rows writes, for any integer seed.
+_FIRST_LINE = re.compile(rf"# florasim-report schema={REPORT_SCHEMA} seed=-?[0-9]+")
+_FIRST_LINE_FORM = f"# florasim-report schema={REPORT_SCHEMA} seed=<integer>"
+
+
 def read_report(path: str | Path) -> list[ReportRow]:
     """Parse a report file back into rows; inverse of emit for tabular fields.
 
-    Raises ValueError naming the file for anything that is not a report, and
-    the line too for a row that does not parse."""
+    The first line must be the one ``emit_rows`` writes, ``# florasim-report
+    schema=1 seed=<integer>``; a leading byte-order mark is dropped. Raises
+    ValueError naming the file for anything that is not a report, and the
+    line too for a row that does not parse."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except OSError as exc:
         raise OSError(f"cannot read report from {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-    if len(lines) < 2 or not lines[0].startswith("# florasim-report"):
-        raise ValueError(f"{path}: not a report file")
+    first = lines[0] if lines else ""
+    if not _FIRST_LINE.fullmatch(first):
+        raise ValueError(f"{path}: not a report file: first line {first!r} is not {_FIRST_LINE_FORM!r}")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: not a report file: no column header")
     if lines[1] != ",".join(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {lines[1]!r}")
     rows = []

@@ -90,6 +90,9 @@ class ExperimentConfig:
             p.append(f"skew: unknown kind {self.skew!r}, expected one of {SKEW_KINDS}")
         if not np.isfinite(self.skew_strength) or self.skew_strength < 0:
             p.append(f"skew_strength: must be finite and >= 0, got {self.skew_strength}")
+        if not (0 <= self.seed < 2**64):
+            # Every seed is used mod 2**64, so -1 would repeat 2**64 - 1.
+            p.append(f"seed: must be in [0, 2**64), got {self.seed}")
         if self.scaling_override is not None and not (0 < self.scaling_override <= 1):
             p.append(f"scaling_override: must be in (0, 1], got {self.scaling_override}")
         if self.samples < 2:
@@ -217,7 +220,8 @@ def parse_config_located(
         layers.append({k: ("", v) for k, v in PRESETS[preset].items()})
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            # utf-8-sig drops a leading byte-order mark, which a terminal does not show.
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
         try:

@@ -63,9 +63,31 @@ def row_blocks(count: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [count]))
 
 
+def _pool(xs, ys, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one sample-pool check, of ``ClientShard`` and ``Batch``.
+
+    Returns ``xs`` as a float64 (count, n) array with at least one row and
+    ``ys`` as an array of one target per input: (count,) labels or (count, m)
+    rows. Anything else raises a ValueError naming ``what``.
+    """
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys)
+    if xs.ndim != 2 or len(xs) < 1:
+        raise ValueError(f"{what} inputs must be a (count, n) array with at least one row, got shape {xs.shape}")
+    # A 0-d array has no length, so the ndim test comes first.
+    if ys.ndim not in (1, 2) or len(ys) != len(xs):
+        raise ValueError(f"{what} targets must be {len(xs)} labels or rows, got shape {ys.shape}")
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class GlobalTask:
-    """Teacher matrix, pre-trained base, and the generated sample pool."""
+    """Teacher matrix, pre-trained base, and the generated sample pool.
+
+    Only the package builds one (``gen_task``, ``holdout_split``,
+    ``simulation._build_world``), from arrays it made, so it checks nothing:
+    it makes its arrays read-only float64. The sample-pool check is
+    ``_pool``, run by the ``ClientShard`` and ``Batch`` built from it.
+    """
 
     teacher: np.ndarray
     base: BaseWeights
@@ -77,10 +99,6 @@ class GlobalTask:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.teacher.shape != self.base.w.shape:
-            raise ValueError("teacher and base must share shape")
-        if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
 
     @property
     def size(self) -> int:
@@ -94,7 +112,8 @@ class ClientShard:
     ``xs`` and ``ys`` are the whole pool, not a copy; the client's samples are
     ``xs[rows]`` and ``ys[rows]``, in the order of ``rows``. ``rows`` defaults
     to every row, so ``ClientShard(i, xs, ys)`` is a shard holding all of
-    ``xs`` and ``ys``.
+    ``xs`` and ``ys``. The pool passes the one sample-pool check, ``_pool``;
+    the shard checks its rows and makes all three arrays read-only.
     """
 
     client_id: int
@@ -103,12 +122,7 @@ class ClientShard:
     rows: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys)
-        if xs.ndim != 2:
-            raise ValueError(f"shard pool inputs must be a (count, n) array, got shape {xs.shape}")
-        if len(xs) != len(ys):
-            raise ValueError("shard pool must hold as many inputs as targets")
+        xs, ys = _pool(self.xs, self.ys, "shard pool")
         rows = np.arange(len(xs)) if self.rows is None else np.asarray(self.rows)
         if rows.ndim != 1 or len(rows) < 1:
             raise ValueError("shard must hold at least one (x, y) pair")
@@ -137,20 +151,15 @@ class Batch:
     Inside the package targets are the matrix: regression values, or the
     one-hot rows ``simulation._build_world`` encodes once for a softmax
     world. Class indices from a caller are checked and one-hot encoded by
-    ``training._target_matrix``, once per loss-path call."""
+    ``training._target_matrix``, once per loss-path call. Inputs and
+    targets pass the one sample-pool check, ``_pool``; a batch leaves its
+    arrays writeable."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets)
-        if inputs.ndim != 2 or len(inputs) < 1:
-            raise ValueError("batch inputs must be a nonempty (count, n) array")
-        if len(targets) != len(inputs):
-            raise ValueError(
-                f"batch has {len(inputs)} inputs but {len(targets)} targets"
-            )
+        inputs, targets = _pool(self.inputs, self.targets, "batch")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 

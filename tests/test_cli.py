@@ -72,6 +72,26 @@ class TestParseConfig:
         assert config.rounds == 9
         assert config.seed == 7
 
+    def test_a_byte_order_mark_is_read_like_no_mark(self, tmp_path):
+        text = "rounds = 1\nranks = 4,4,4,4,4,4,4,4,4,4\nseed = 7\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_config(path=marked) == parse_config(path=plain)
+
+    def test_seed_must_be_in_the_64_bit_range(self, tmp_path):
+        for seed in ("0", str(2**64 - 1)):
+            assert parse_config(overrides={"seed": seed}).seed == int(seed)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError) as err:
+                parse_config(overrides={"seed": str(seed)})
+            assert err.value.problems == [f"seed: must be in [0, 2**64), got {seed}"]
+        path = tmp_path / "s.cfg"
+        path.write_text("rounds = 1\nseed = -1\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path)
+        assert err.value.problems == [f"{path}: line 2: seed: must be in [0, 2**64), got -1"]
+
     def test_all_invalid_fields_reported_together(self):
         with pytest.raises(ConfigError) as err:
             parse_config(overrides={"clients": "0", "rounds": "-2", "loss": "hinge"})
@@ -524,6 +544,19 @@ class TestMain:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: strategies: 'flora' is listed more than once\n"
         assert not out.exists()
+
+    def test_a_seed_out_of_range_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch):
+        def no_rounds(*args, **kwargs):
+            raise AssertionError("a round ran before the seed was checked")
+
+        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
+        monkeypatch.chdir(tmp_path)
+        Path("s.cfg").write_text("rounds = 1\nseed = -1\n")
+        assert main(["compare", "--config", "s.cfg", "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == "error: s.cfg: line 2: seed: must be in [0, 2**64), got -1\n"
+        assert main(["compare", "--preset", "homo16", "--seed", str(2**64), "--out", "x.csv"]) == 1
+        assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {2**64}\n"
+        assert not Path("x.csv").exists()
 
     def test_undecodable_config_file_exits_one_naming_it(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"

@@ -252,6 +252,31 @@ class TestReports:
         with pytest.raises(ValueError):
             read_report(path)
 
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "# florasim-report schema=2 seed=1",
+            "# florasim-report schema=9 seed=1",
+            "# florasim-report schema=1",
+            "# florasim-report schema=1 seed=",
+            "# florasim-report schema=1 seed=1 extra",
+            "# florasim-reportschema=1 seed=1",
+        ],
+    )
+    def test_read_checks_the_whole_first_line(self, tmp_path, first):
+        path = tmp_path / "first.csv"
+        path.write_text(f"{first}\n{','.join(REPORT_COLUMNS)}\n0,flora,1,1,,0,0\n")
+        form = "'# florasim-report schema=1 seed=<integer>'"
+        expected = f"first.csv: not a report file: first line {first!r} is not {form}"
+        with pytest.raises(ValueError, match=re.escape(expected) + "$"):
+            read_report(path)
+
+    def test_a_byte_order_mark_is_read_like_no_mark(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        emit_rows(SAMPLE_ROWS, plain, seed=7)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_report(marked) == read_report(plain) == SAMPLE_ROWS
+
     def test_read_rejects_a_wrong_column_header(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("# florasim-report schema=1 seed=0\nround,strategy\n0,flora\n")

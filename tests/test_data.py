@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from florasim import (
     Batch,
@@ -293,6 +295,52 @@ class TestClientShard:
         for pool in (np.ones(4), np.ones((4, 2, 2))):
             with pytest.raises(ValueError, match=r"shard pool inputs must be a \(count, n\) array"):
                 ClientShard(0, pool, ys)
+        # 0-d targets once raised TypeError; 3-d ones passed until the first loss call.
+        for targets in (np.float64(1.0), np.zeros((4, 3, 2))):
+            with pytest.raises(ValueError, match=r"shard pool targets must be 4 labels or rows"):
+                ClientShard(0, xs, targets)
+
+
+class TestBatch:
+    def test_rejects_malformed_inputs_or_targets(self):
+        for inputs in (np.ones(4), np.ones((4, 2, 2)), np.ones((0, 2))):
+            with pytest.raises(ValueError, match=r"batch inputs must be a \(count, n\) array"):
+                Batch(inputs, np.zeros(4))
+        for targets in (5, np.float64(1.0), np.zeros((4, 3, 2)), np.zeros(3)):
+            with pytest.raises(ValueError, match=r"batch targets must be 4 labels or rows"):
+                Batch(np.ones((4, 3)), targets)
+
+
+@st.composite
+def sample_arrays(draw):
+    """An array of 0 to 3 dimensions whose first axis holds 0 to 4 entries."""
+    ndim = draw(st.integers(0, 3))
+    if ndim == 0:
+        return np.array(draw(st.integers(0, 3)))
+    shape = (draw(st.integers(0, 4)),) + tuple(draw(st.integers(1, 3)) for _ in range(ndim - 1))
+    return np.ones(shape, dtype=draw(st.sampled_from([np.float64, np.int64])))
+
+
+def built_pool(container, xs, ys):
+    """The inputs and targets a ClientShard or a Batch holds once built."""
+    if container == "shard":
+        shard = ClientShard(0, xs, ys)
+        return shard.xs, shard.ys
+    batch = Batch(xs, ys)
+    return batch.inputs, batch.targets
+
+
+class TestSamplePoolCheck:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(container=st.sampled_from(["shard", "batch"]), xs=sample_arrays(), ys=sample_arrays())
+    def test_a_malformed_pool_raises_a_value_error_naming_its_container(self, container, xs, ys):
+        try:
+            inputs, targets = built_pool(container, xs, ys)
+        except ValueError as exc:
+            assert str(exc).startswith(container), str(exc)
+        else:
+            assert inputs.ndim == 2 and len(inputs) >= 1 and inputs.dtype == np.float64
+            assert targets.ndim in (1, 2) and len(targets) == len(inputs)
 
 
 class TestSoftmaxWorld:
