@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HeterogeneousRankError
-from .lora import LoraAdapter, adapter_delta
+from .lora import LoraAdapter, _frobenius, adapter_delta
 from .rng import fisher_yates
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -181,8 +181,8 @@ def fedit_noise(updates: list[WeightedUpdate], averaged: np.ndarray | None = Non
     tol = 8 * len(updates) * _EPS * scale
     assert np.abs((signal + cross) - averaged).max() <= tol
 
-    cross_norm = float(np.linalg.norm(cross))
-    oracle_norm = float(np.linalg.norm(oracle))
+    cross_norm = _frobenius(cross)
+    oracle_norm = _frobenius(oracle)
     if cross_norm == 0.0:
         relative = 0.0
     elif oracle_norm == 0.0:

@@ -19,6 +19,7 @@ centralized runs communicate nothing after the broadcast.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,9 +163,17 @@ def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
     """Write report rows as comma-separated text with a fixed header.
 
     Reals are formatted with 17 significant digits so emitted files are
-    byte-deterministic and round-trip through parsing without loss.
+    byte-deterministic and round-trip through parsing without loss. Raises
+    ValueError, before the file is opened, for a seed that is not an integer
+    in [0, 2**64), the seeds a config accepts; a bool is not one.
     """
-    lines = [f"# florasim-report schema={REPORT_SCHEMA} seed={seed}", ",".join(REPORT_COLUMNS)]
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value < 2**64:
+        raise ValueError(f"seed: must be an integer in [0, 2**64), got {seed!r}")
+    lines = [f"# florasim-report schema={REPORT_SCHEMA} seed={value}", ",".join(REPORT_COLUMNS)]
     for row in rows:
         lines.append(",".join(fmt(getattr(row, name)) for name, fmt, _ in _CODECS))
     try:
@@ -174,7 +183,8 @@ def emit_rows(rows: Iterable[ReportRow], path: str | Path, seed: int) -> None:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-# The first line emit_rows writes, for any integer seed.
+# The first line emit_rows writes; the sign is kept for reports written
+# before emit_rows checked its seed.
 _FIRST_LINE = re.compile(rf"# florasim-report schema={REPORT_SCHEMA} seed=-?[0-9]+")
 _FIRST_LINE_FORM = f"# florasim-report schema={REPORT_SCHEMA} seed=<integer>"
 

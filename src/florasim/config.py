@@ -22,7 +22,7 @@ import numpy as np
 from .data import SKEW_KINDS, _holdout_size
 from .errors import ConfigError
 from .lora import _MAX_INIT_BOUND, INIT_KINDS
-from .simulation import STRATEGIES
+from .simulation import STRATEGIES, _task_bytes, _task_too_big
 from .training import LOSS_KINDS
 
 SCALING_SWEEP = (0.01, 0.05, 0.1, 0.2)
@@ -106,6 +106,10 @@ class ExperimentConfig:
                     f"samples: {self.samples} leaves {train} training samples "
                     f"for {self.clients} clients after the holdout"
                 )
+            # numpy refuses any array of more bytes than np.intp counts; a
+            # smaller task that memory cannot hold fails in _build_world.
+            if self.m >= 1 and self.n >= 1 and _task_bytes(self.m, self.n, self.samples) > np.iinfo(np.intp).max:
+                p.append(_task_too_big(self.m, self.n, self.samples))
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             p.append(f"noise_std: must be finite and >= 0, got {self.noise_std}")
         if self.m >= 1 and self.n >= 1 and not (1 <= self.teacher_rank <= min(self.m, self.n)):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lora import BaseWeights, Dim
+from .lora import BaseWeights, Dim, _frobenius
 
 SKEW_ATOMS = ("iid", "feature-shift", "size-skew", "label-skew")
 SKEW_KINDS = SKEW_ATOMS + ("feature-shift+size-skew",)
@@ -282,7 +282,7 @@ def _ordered_indices(
     total = task.size
     if "feature-shift" in spec.kind and spec.strength > 0:
         direction = gen.normal(size=task.xs.shape[1])
-        direction /= np.linalg.norm(direction)
+        direction /= _frobenius(direction)
         z = task.xs @ direction
         z = (z - z.mean()) / max(z.std(), 1e-12)
         key = spec.strength * z + gen.normal(size=total)

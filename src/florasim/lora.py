@@ -11,8 +11,9 @@ places no constraint on the individual ranks. It is implemented once, in
 ``aggregation`` (``aggregate_flora`` and ``shuffled_stack``).
 
 This module holds the adapter and base-weight values, fresh-adapter
-initialization and the dense update b @ a. All values are immutable after
-construction and every operation is a pure function.
+initialization, the dense update b @ a and the package's one Frobenius norm.
+All values are immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -179,6 +180,14 @@ def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdap
 def adapter_delta(adapter: LoraAdapter) -> np.ndarray:
     """Materialize the dense update b @ a."""
     return adapter.b @ adapter.a
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """The Frobenius (or Euclidean) norm of x, summed by numpy's own pairwise
+    reduction, which makes no BLAS call. A norm through a BLAS dot, which
+    OpenBLAS splits across threads, would depend on the thread count in its
+    last bits."""
+    return float(np.sqrt(np.add.reduce(np.square(x), axis=None)))
 
 
 def trainable_fraction(dim: Dim, rank: int) -> float:

@@ -261,6 +261,21 @@ class _World:
     participants: list[list[int]]
 
 
+def _task_bytes(m: int, n: int, samples: int) -> int:
+    """Bytes of a task's float64 arrays: the base, and the sample pool's
+    inputs and targets."""
+    return 8 * (m * n + samples * (m + n))
+
+
+def _task_too_big(m: int, n: int, samples: int) -> str:
+    """The problem a task reports when its arrays cannot be allocated."""
+    size = _task_bytes(m, n, samples)
+    return (
+        f"m, n, samples: the task needs m*n + samples*(m+n) = {size // 8} float64 values "
+        f"({size} bytes, {size / 2**30:.1f} GiB), more than could be allocated"
+    )
+
+
 def _build_world(config) -> _World:
     """Task, holdout, shards, baseline loss and participation schedule from a
     validated config. Under partial participation round t's clients are a
@@ -275,14 +290,7 @@ def _build_world(config) -> _World:
     try:
         task = gen_task(dim, config.samples, config.noise_std, config.seed, config.teacher_rank)
     except MemoryError as exc:
-        # The base, and the sample pool's inputs and targets, are float64.
-        values = config.m * config.n + config.samples * (config.m + config.n)
-        raise ConfigError(
-            [
-                f"m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
-                f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated"
-            ]
-        ) from exc
+        raise ConfigError([_task_too_big(config.m, config.n, config.samples)]) from exc
     if config.loss == "softmax-cross-entropy":
         teacher, base, xs, labels = task.teacher, task.base, task.xs, argmax_labels(task.ys)
         # Drop the generated targets first, so no moment holds two target pools.
@@ -391,8 +399,8 @@ def run_comparisons(
     The config is validated and the world (task, shards, held-out set,
     participants) built once, since the world reads no scaling field; every
     (factor, strategy) run gets its own fresh server and clients. BLAS runs
-    on one thread throughout, so the reports do not depend on the caller's
-    thread count.
+    on one thread throughout, which saves CPU time; the reports do not
+    depend on the thread count either way.
     """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])

@@ -1,4 +1,5 @@
-"""Commands run BLAS on one thread and give the caller back its count."""
+"""Comparisons run BLAS on one thread and give the caller back its count,
+and no result depends on the count."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ import pytest
 import florasim.simulation as simulation
 import florasim.verification as verification
 from florasim import DivergenceError, compare_strategies
+from florasim.aggregation import WeightedUpdate, fedit_noise
 from florasim._blas import _controls, one_thread
 from florasim.config import parse_config
+from florasim.lora import LoraAdapter
 
 CONTROLS = _controls()
 pytestmark = pytest.mark.skipif(CONTROLS is None, reason="numpy's BLAS exposes no thread control")
@@ -75,18 +78,28 @@ def test_run_comparisons_gives_back_the_callers_count_when_a_run_diverges(caller
     assert blas_threads() == caller_threads
 
 
-def test_run_all_runs_each_check_on_one_thread_and_gives_back_the_callers_count(caller_threads, monkeypatch):
-    def nested_comparison():
+def test_run_all_runs_checks_at_the_callers_count_and_comparisons_on_one_thread(caller_threads, monkeypatch):
+    trained = []
+    train = simulation.local_train
+
+    def recording(*args, **kwargs):
+        trained.append(blas_threads())
+        return train(*args, **kwargs)
+
+    def comparison():
         config = parse_config(overrides=TINY)
         compare_strategies(config, ["flora"])
-        # The inner comparison restores the outer count, one thread.
-        return blas_threads() == 1, "nested"
+        # The comparison gives the check back the caller's count.
+        return blas_threads() == caller_threads, "comparison"
 
-    checks = [("threads", lambda: (blas_threads() == 1, "one thread")), ("nested", nested_comparison)]
+    monkeypatch.setattr(simulation, "local_train", recording)
+    checks = [("threads", lambda: (blas_threads() == caller_threads, "caller's count")), ("comparison", comparison)]
     monkeypatch.setattr(verification, "CHECKS", checks)
     lines = []
     assert verification.run_all(echo=lines.append)
-    assert lines == ["PASS threads: one thread", "PASS nested: nested"]
+    assert lines == ["PASS threads: caller's count", "PASS comparison: comparison"]
+    # flora: 3 clients x 2 rounds, each trained on one thread.
+    assert trained == [1] * 6
     assert blas_threads() == caller_threads
 
 
@@ -99,3 +112,20 @@ def test_run_all_gives_back_the_callers_count_when_a_check_diverges(caller_threa
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         verification.run_all(echo=lambda line: None)
     assert blas_threads() == caller_threads
+
+
+def test_fedit_noise_called_alone_does_not_depend_on_the_blas_thread_count(caller_threads):
+    # 256 x 256 norms are large enough for OpenBLAS to split a BLAS dot.
+    gen = np.random.default_rng(24)
+    rounds = [
+        [
+            WeightedUpdate(LoraAdapter(a=gen.normal(size=(16, 256)), b=gen.normal(size=(256, 16))), 0.1)
+            for _ in range(10)
+        ]
+        for _ in range(20)
+    ]
+    noise = {}
+    for threads in (1, 4):
+        CONTROLS[1](threads)
+        noise[threads] = [fedit_noise(updates).relative_noise.hex() for updates in rounds]
+    assert noise[1] == noise[4]

@@ -397,6 +397,17 @@ class TestReadme:
         keys = [flag[2:].replace("-", "_") for flag in listed if flag not in ("--preset", "--config")]
         assert sorted(keys + file_only) == sorted(f.name for f in fields(ExperimentConfig))
 
+    def test_flags_are_listed_in_the_parsers_order_and_the_file_only_keys_by_name(self):
+        text = " ".join(self.README.read_text(encoding="utf-8").split())
+        listed = re.search(r"All flags: `([^`]*)`", text).group(1).split()
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        run = [a for a in commands.choices["run"]._actions if a.dest != "help"]
+        assert listed == [flag for a in run for flag in a.option_strings]
+        flag_keys = {a.dest for a in run} - {"preset", "config"}
+        file_only = re.findall(r"`(\w+)`", re.search(r"Keys mirror the flags plus ([^.]*)\.", text).group(1))
+        assert file_only == ["teacher_rank", "init_kind", "init_std", "client_fraction"]
+        assert [f.name for f in fields(ExperimentConfig) if f.name not in flag_keys] == file_only
+
 
 class TestPackageExports:
     def test_all_is_unique_and_every_name_resolves(self):
@@ -505,6 +516,27 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"error: m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
             f"({8 * values} bytes, 76.0 GiB), more than could be allocated\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "values"),
+        [
+            (["--samples", "4611686018427387904"], 16 * 16 + 4611686018427387904 * 32),
+            (["--m", "4294967296", "--n", "4294967296"], 2**64 + 1000 * 2**33),
+        ],
+        ids=["samples", "m-and-n"],
+    )
+    def test_task_no_array_can_hold_exits_one_before_any_allocation(self, tmp_path, capsys, monkeypatch, flags, values):
+        def no_task(*args, **kwargs):
+            raise AssertionError("the task was generated before the config was validated")
+
+        monkeypatch.setattr(florasim.simulation, "gen_task", no_task)
+        code = main(["run", "--rounds", "1", *flags, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
+            f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated\n"
         )
         assert not (tmp_path / "x.csv").exists()
 
@@ -852,8 +884,8 @@ class TestProblemsFoundAfterParsing:
         assert list(tmp_path.iterdir()) == [tmp_path / "big.cfg"]
 
 
-# A comparison at m = n = 256 whose fedit relative noise comes from BLAS
-# reductions large enough for OpenBLAS to split across threads.
+# A comparison at m = n = 256, whose products are large enough for OpenBLAS
+# to split across threads.
 WIDE = ["compare", "--m", "256", "--n", "256", "--samples", "4000", "--rounds", "3", "--strategies", "flora,fedit"]
 
 

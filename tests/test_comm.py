@@ -348,6 +348,13 @@ class TestReports:
         except ValueError as exc:
             assert str(exc).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("seed", [True, -1, 2**64])
+    def test_emit_rejects_a_seed_no_config_accepts_and_writes_nothing(self, tmp_path, seed):
+        path = tmp_path / "seed.csv"
+        with pytest.raises(ValueError, match=re.escape(f"seed: must be an integer in [0, 2**64), got {seed!r}")):
+            emit_rows(SAMPLE_ROWS, path, seed=seed)
+        assert not path.exists()
+
     def test_write_failure_carries_path(self, tmp_path):
         target = tmp_path / "missing-dir" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
