@@ -113,7 +113,11 @@ class ExperimentConfig:
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             p.append(f"noise_std: must be finite and >= 0, got {self.noise_std}")
         if self.m >= 1 and self.n >= 1 and not (1 <= self.teacher_rank <= min(self.m, self.n)):
-            p.append(f"teacher_rank: must be in [1, min(m, n)], got {self.teacher_rank}")
+            p.append(
+                f"teacher_rank: must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], "
+                f"got {self.teacher_rank}; the default {ExperimentConfig.teacher_rank} "
+                "is changed with teacher_rank in a --config file"
+            )
         if self.init_kind not in INIT_KINDS:
             p.append(f"init_kind: unknown kind {self.init_kind!r}, expected one of {INIT_KINDS}")
         limit = _MAX_INIT_BOUND.get(self.init_kind, np.inf)

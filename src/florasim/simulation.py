@@ -18,16 +18,19 @@ frozen initial base, and are charged, evaluated and reported by the same
 code as the federated strategies. Every round returns the one record the
 report writes for it, a ``comm.ReportRow``.
 
-Clients train one after another in client order. All randomness is derived
-per (experiment seed, client, round), so a client's adapter does not depend
-on which clients trained before it. Under partial participation each round's
+A comparison advances its strategies round by round: round t of every
+strategy, in the listed order, comes before round t + 1 of any, and within a
+round the clients train one after another in client order. All randomness
+is derived per (experiment seed, client, round), and strategies share only
+the read-only world, so a client's adapter does not depend on which clients
+or strategies trained before it. Under partial participation each round's
 clients are drawn once per experiment, with its data, so every federated
 strategy of a comparison trains the same clients in the same round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,10 +116,6 @@ class ExperimentReport:
     rounds: list[ReportRow]
     ledger: CommLedger
 
-    @property
-    def final_global_loss(self) -> float:
-        return self.rounds[-1].global_loss if self.rounds else self.baseline_loss
-
     def to_rows(self) -> list[ReportRow]:
         """Row 0 is the pre-training baseline; row t is after round t."""
         baseline = ReportRow(0, self.strategy, self.baseline_loss, self.baseline_loss, None, 0, 0)
@@ -132,7 +131,8 @@ class ComparisonReport:
     reports: dict[str, ExperimentReport]
 
     def final_losses(self) -> dict[str, float]:
-        return {s: self.reports[s].final_global_loss for s in self.strategies}
+        """Each strategy's last reported loss: the baseline when it ran no round."""
+        return {s: self.reports[s].to_rows()[-1].global_loss for s in self.strategies}
 
     def to_rows(self) -> list[ReportRow]:
         return [row for s in self.strategies for row in self.reports[s].to_rows()]
@@ -314,9 +314,11 @@ def _build_world(config) -> _World:
     return _World(task.base, shards, held, baseline, participants)
 
 
-def _run(config, strategy: str, world: _World) -> ExperimentReport:
-    """All rounds of one strategy on a new server and clients drawn from the world."""
-    server = ServerState(base=world.base)
+def _run(config, strategy: str, world: _World, server: ServerState) -> Iterator[ReportRow]:
+    """Yield each round's row of one strategy, run on the given server and on
+    clients drawn from the world. Raises DivergenceError in the round that
+    diverges, which includes a held-out loss above DIVERGENCE_RATIO times the
+    baseline."""
     clients = [
         ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
         for i in range(config.clients)
@@ -350,7 +352,6 @@ def _run(config, strategy: str, world: _World) -> ExperimentReport:
         adapters = [init_adapter(dim, rank, init_policy, seed) for _, _, rank, seed, _ in learners]
         everyone = [(c.client_id, c.rank) for c in clients]
 
-    rounds: list[ReportRow] = []
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
             row = run_round(
@@ -378,15 +379,29 @@ def _run(config, strategy: str, world: _World) -> ExperimentReport:
             ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
             what = f"the held-out loss is {ratio:.3g} times the baseline"
             raise DivergenceError(strategy, row.round, [], what)
-        rounds.append(row)
+        yield row
 
-    return ExperimentReport(
-        strategy=strategy,
-        seed=config.seed,
-        baseline_loss=world.baseline,
-        rounds=rounds,
-        ledger=server.ledger,
-    )
+
+def _compare(config, strategies: list[str], world: _World) -> ComparisonReport:
+    """Advance every strategy's run round by round on its own fresh server.
+
+    A strategy that diverges stops and the others run on; then the error of
+    the first listed strategy that diverged is raised, whatever its round.
+    """
+    servers = {s: ServerState(base=world.base) for s in strategies}
+    runs = {s: _run(config, s, world, servers[s]) for s in strategies}
+    # A report shares its server's ledger and collects its rows as they come.
+    reports = {s: ExperimentReport(s, config.seed, world.baseline, [], servers[s].ledger) for s in strategies}
+    errors: dict[str, DivergenceError] = {}
+    for _ in range(config.rounds):
+        for s in [s for s in strategies if s not in errors]:
+            try:
+                reports[s].rounds.append(next(runs[s]))
+            except DivergenceError as exc:
+                errors[s] = exc
+    if errors:
+        raise next(errors[s] for s in strategies if s in errors)
+    return ComparisonReport(config.seed, tuple(strategies), reports)
 
 
 def run_comparisons(
@@ -398,9 +413,10 @@ def run_comparisons(
 
     The config is validated and the world (task, shards, held-out set,
     participants) built once, since the world reads no scaling field; every
-    (factor, strategy) run gets its own fresh server and clients. BLAS runs
-    on one thread throughout, which saves CPU time; the reports do not
-    depend on the thread count either way.
+    (factor, strategy) run gets its own fresh server and clients. Each
+    comparison advances its strategies round by round, with the clients in
+    client order within a round. BLAS runs on one thread throughout, which
+    saves CPU time; the reports do not depend on the thread count either way.
     """
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
@@ -408,10 +424,7 @@ def run_comparisons(
     swept = [replace(config, scaling_override=f) for f in factors]
     with one_thread():
         world = _build_world(config)
-        return [
-            ComparisonReport(c.seed, tuple(strategies), {s: _run(c, s, world) for s in strategies})
-            for c in swept
-        ]
+        return [_compare(c, strategies, world) for c in swept]
 
 
 def compare_strategies(config, strategies: list[str]) -> ComparisonReport:

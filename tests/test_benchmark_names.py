@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from florasim import ExperimentConfig, compare_strategies
-from florasim.simulation import STRATEGIES, _build_world
+from florasim.simulation import FEDERATED_STRATEGIES, STRATEGIES, _build_world
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,24 +88,37 @@ def test_rounds_call_the_traced_loss_and_noise_names():
     assert metrics["aggregation.aggregate.calls"] == config.rounds * 2
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_traced_run_counts_every_sgd_sample(strategy):
+@pytest.mark.parametrize(
+    "strategies, client_fraction",
+    [pytest.param([s], 1.0, id=s) for s in STRATEGIES]
+    + [pytest.param(list(STRATEGIES), 0.5, id="all-strategies-half-the-clients")],
+)
+def test_a_traced_run_counts_every_sgd_sample(strategies, client_fraction):
     # The counter reads shard.size and cfg.batch_size from local_train's first
-    # three positional arguments. Under full participation every strategy
-    # passes over all training rows once per epoch: each client its own
-    # shard, or the centralized reference the pooled one.
+    # three positional arguments. Each epoch, a federated strategy passes over
+    # the shards of the round's participants, and a reference over all
+    # training rows: each client its own shard, or the centralized reference
+    # the pooled one. A comparison's count is the sum over its strategies.
     config = ExperimentConfig(
-        m=8, n=8, clients=3, ranks=(2, 2, 2), rounds=3, epochs=2, samples=120, teacher_rank=2, seed=5
+        m=8, n=8, clients=3, ranks=(2, 2, 2), rounds=3, epochs=2, samples=120, teacher_rank=2, seed=5,
+        client_fraction=client_fraction,
     )
-    training_rows = sum(shard.size for shard in _build_world(config).shards)
+    world = _build_world(config)
+    training_rows = sum(shard.size for shard in world.shards)
+    participant_rows = sum(world.shards[i].size for ids in world.participants for i in ids)
+    assert training_rows == 96
+    assert participant_rows == (config.rounds * training_rows if client_fraction == 1 else 3 * 2 * 32)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        compare_strategies(config, [strategy])
+        compare_strategies(config, strategies)
     finally:
         tracer.uninstall()
     samples = tracer.metrics()["training.sgd_samples"]
-    assert samples == config.rounds * config.epochs * training_rows == 3 * 2 * 96
+    per_strategy = [
+        participant_rows if s in FEDERATED_STRATEGIES else config.rounds * training_rows for s in strategies
+    ]
+    assert samples == config.epochs * sum(per_strategy)
 
 
 @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED])

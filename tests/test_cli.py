@@ -470,6 +470,18 @@ class TestMain:
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert produced == ["sweep.sf0.01.csv", "sweep.sf0.05.csv", "sweep.sf0.1.csv", "sweep.sf0.2.csv"]
 
+    def test_m_or_n_below_the_default_teacher_rank_names_the_bound_and_the_key(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["run", "--m", "2", "--n", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: teacher_rank: must be in [1, min(m, n)] = [1, 2], got 4; "
+            "the default 4 is changed with teacher_rank in a --config file\n"
+        )
+        path = tmp_path / "small.cfg"
+        path.write_text("teacher_rank = 2\n")
+        assert main(["run", "--m", "2", "--n", "2", "--config", str(path), "--out", str(out)]) == 0
+        assert len(read_report(out)) == 4
+
     def test_validation_failure_exits_one(self, tmp_path, capsys):
         code = main(["run", "--clients", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 1
@@ -677,6 +689,29 @@ class TestMain:
             "error: strategy standalone diverged in round 4: "
             "the held-out loss is 6.8e+04 times the baseline\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategies, expected",
+        [
+            (
+                "flora,standalone",
+                "strategy flora diverged in round 2: the held-out loss is 2.46e+04 times the baseline",
+            ),
+            (
+                "standalone,flora",
+                "strategy standalone diverged in round 1: the held-out loss is 1.05e+03 times the baseline",
+            ),
+        ],
+    )
+    def test_the_first_listed_strategy_that_diverged_is_reported(self, tmp_path, capsys, strategies, expected):
+        # Standalone diverges in round 1 and flora in round 2; the error is
+        # that of whichever is listed first, as if each ran all its rounds in turn.
+        out = tmp_path / "div.csv"
+        argv = ["compare", "--preset", "hetero", "--loss", "softmax-cross-entropy", "--lr", "10",
+                "--rounds", "10", "--strategies", strategies, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["standalone", "centralized"])

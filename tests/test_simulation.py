@@ -26,7 +26,14 @@ from florasim.config import parse_config, with_overrides
 from florasim.data import scaling_factors
 from florasim.lora import InitPolicy, init_adapter
 from florasim.rng import derive_seed
-from florasim.simulation import _TAG_INIT, _TAG_TRAIN, ClientRuntime, ServerState, _build_world
+from florasim.simulation import (
+    _TAG_INIT,
+    _TAG_TRAIN,
+    ClientRuntime,
+    ComparisonReport,
+    ServerState,
+    _build_world,
+)
 from florasim.training import ToyModel, TrainConfig, evaluate, local_train
 from test_aggregation import hand_padded
 
@@ -62,6 +69,24 @@ def first_round_uploads(server, clients, cfg, policy):
         train_seed = derive_seed(c.seed, 0, _TAG_TRAIN)
         uploads.append(local_train(ToyModel(server.base, adapter), c.shard, cfg, train_seed))
     return uploads
+
+
+def recording_train(monkeypatch, failing=None, raised=None):
+    """Record the (strategy, server round) of every _train call, the one call
+    each round of each strategy makes; a strategy named in failing raises
+    DivergenceError in that round instead of training, stored in raised."""
+    calls, failing = [], failing or {}
+    train = simulation._train
+
+    def recording(server, strategy, *args):
+        calls.append((strategy, server.round))
+        if failing.get(strategy) == server.round:
+            raised[strategy] = DivergenceError(strategy, server.round + 1, [], "injected")
+            raise raised[strategy]
+        return train(server, strategy, *args)
+
+    monkeypatch.setattr(simulation, "_train", recording)
+    return calls
 
 
 # Two clients whose rank-1 uploads touch disjoint rows and columns.
@@ -264,7 +289,13 @@ class TestRunExperiment:
             rows = report.to_rows()
             assert rows[1:] == report.rounds
             assert [row.round for row in report.rounds] == [1, 2]
-            assert report.final_global_loss == report.rounds[-1].global_loss
+            comparison = ComparisonReport(report.seed, (strategy,), {strategy: report})
+            assert comparison.final_losses() == {strategy: report.rounds[-1].global_loss}
+
+    def test_the_final_loss_of_a_run_of_no_rounds_is_the_baseline(self):
+        comparison = compare_strategies(with_overrides(SMALL, rounds=0), ["flora", "standalone"])
+        baseline = comparison.reports["flora"].baseline_loss
+        assert comparison.final_losses() == {"flora": baseline, "standalone": baseline}
 
     def test_standalone_runs_without_aggregation(self):
         report = run_experiment(with_overrides(SMALL, strategy="standalone"))
@@ -454,7 +485,7 @@ class TestCompare:
         monkeypatch.setattr(simulation, "local_train", recording)
         config = replace(SMALL, strategy="centralized", loss=loss, skew="size-skew", skew_strength=1.0)
         world = _build_world(config)
-        simulation._run(config, config.strategy, world)
+        list(simulation._run(config, config.strategy, world, ServerState(base=world.base)))
         assert len(trained) == config.rounds
         pooled = trained[0]
         for shard in world.shards:
@@ -529,6 +560,41 @@ class TestCompare:
         config = with_overrides(SMALL, clients=4, ranks=(2,) * 4, rounds=3, client_fraction=0.5)
         compare_strategies(config, ["flora", "fedit", "zero_padding", "standalone", "centralized"])
         assert draws == [(config.seed, simulation._TAG_SAMPLING, t) for t in range(3)]
+
+    def test_advances_every_strategy_round_by_round(self, monkeypatch):
+        calls = recording_train(monkeypatch)
+        strategies = ["flora", "fedit", "standalone"]
+        compare_strategies(with_overrides(SMALL, rounds=3), strategies)
+        assert calls == [(s, t) for t in range(3) for s in strategies]
+
+    def test_a_strategy_reports_the_same_rows_alone_or_among_others(self):
+        config = with_overrides(SMALL, rounds=3, client_fraction=0.5)
+        together = compare_strategies(config, list(simulation.STRATEGIES))
+        for s in simulation.STRATEGIES:
+            alone = run_experiment(with_overrides(config, strategy=s))
+            assert together.reports[s].rounds == alone.rounds
+            assert together.reports[s].ledger.events == alone.ledger.events
+
+    @pytest.mark.parametrize(
+        "failing, reported",
+        [
+            ({"standalone": 0}, "standalone"),
+            # The later-listed strategy diverges in an earlier round, yet the
+            # first listed one that diverged is reported.
+            ({"flora": 1, "standalone": 0}, "flora"),
+        ],
+    )
+    def test_a_diverged_strategy_stops_and_the_others_run_on(self, monkeypatch, failing, reported):
+        raised = {}
+        calls = recording_train(monkeypatch, failing, raised)
+        strategies, config = ["flora", "fedit", "standalone"], with_overrides(SMALL, rounds=3)
+        with pytest.raises(DivergenceError) as err:
+            compare_strategies(config, strategies)
+        assert err.value is raised[reported]
+        for s in strategies:
+            # A diverged strategy is never advanced past its failing round.
+            last = failing.get(s, config.rounds - 1)
+            assert [t for name, t in calls if name == s] == list(range(last + 1))
 
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ConfigError):
