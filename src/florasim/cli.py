@@ -11,8 +11,8 @@ run, compare and sweep-scaling differ only in their strategies, factors and
 report paths; each makes one ``simulation.run_comparisons`` call, which
 builds the task and partition once, and prints one line per report written.
 
-Exit codes: 0 success, 1 invalid configuration or failed verification,
-2 runtime failure (``DivergenceError`` included).
+Exit codes: 0 success, 1 invalid command line, invalid configuration or
+failed verification, 2 runtime failure (``DivergenceError`` included).
 """
 
 from __future__ import annotations
@@ -51,8 +51,17 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", help="input dimension")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (an unknown flag or command, a
+    flag without its value) raise ConfigError, so that every invalid input
+    exits 1 with one ``error:`` line. Its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError([message])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="florasim",
         description="Federated low-rank adapter fine-tuning simulator",
     )
@@ -91,8 +100,8 @@ def _sweep_path(out: str, factor: float) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return 0 if run_all() else 1
 

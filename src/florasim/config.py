@@ -13,7 +13,7 @@ import functools
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -113,11 +113,11 @@ class ExperimentConfig:
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             p.append(f"noise_std: must be finite and >= 0, got {self.noise_std}")
         if self.m >= 1 and self.n >= 1 and not (1 <= self.teacher_rank <= min(self.m, self.n)):
-            p.append(
-                f"teacher_rank: must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], "
-                f"got {self.teacher_rank}; the default {ExperimentConfig.teacher_rank} "
-                "is changed with teacher_rank in a --config file"
-            )
+            problem = f"teacher_rank: must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], got {self.teacher_rank}"
+            if self.teacher_rank == ExperimentConfig.teacher_rank:
+                # No flag sets teacher_rank, so a user who did not set it learns where it is set.
+                problem += f"; the default {self.teacher_rank} is changed with teacher_rank in a --config file"
+            p.append(problem)
         if self.init_kind not in INIT_KINDS:
             p.append(f"init_kind: unknown kind {self.init_kind!r}, expected one of {INIT_KINDS}")
         limit = _MAX_INIT_BOUND.get(self.init_kind, np.inf)
@@ -188,11 +188,6 @@ def _config_lines(text: str) -> dict[str, tuple[int, str]]:
     if problems:
         raise ConfigError(problems)
     return entries
-
-
-def read_config_text(text: str) -> dict[str, str]:
-    """Split flat key=value text into a raw mapping; syntax errors collected."""
-    return {key: value for key, (_, value) in _config_lines(text).items()}
 
 
 def parse_config(
@@ -302,10 +297,3 @@ def config_to_text(config: ExperimentConfig) -> str:
             rendered = str(value)
         lines.append(f"{spec_field.name} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update preserving validation."""
-    updated = replace(config, **kwargs)
-    updated.validate()
-    return updated

@@ -323,6 +323,19 @@ class TestNoiseReport:
             with pytest.raises(ValueError, match="not finite"):
                 fedit_noise(updates)
 
+    def test_an_average_that_overflows_finite_updates_is_rejected(self):
+        # Each client's b @ a is about 6.7e307; the averaged factors' product is inf.
+        updates = [WeightedUpdate(LoraAdapter(a=[[1e154, 0.0]], b=[[1e154 / 1.5], [0.0]]), 1.0)] * 2
+        assert all(np.isfinite(adapter_delta(u.adapter)).all() for u in updates)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="the averaged update, or its cross terms, is not finite"):
+                fedit_noise(updates)
+
+    def test_entries_whose_squares_overflow_keep_their_ratio(self):
+        # signal and cross are 5e307 and the oracle 1e308: their norms' squares overflow.
+        updates = [WeightedUpdate(LoraAdapter(a=[[1e154, 0.0]], b=[[1e154], [0.0]]), 0.5)] * 2
+        assert fedit_noise(updates).relative_noise == 0.5
+
     def test_rejects_heterogeneous(self):
         gen = np.random.default_rng(26)
         updates = [

@@ -7,6 +7,7 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,13 +23,19 @@ from hypothesis import strategies as st
 import florasim
 from florasim import ConfigError, ExperimentConfig, LoraAdapter, cli, read_report, run_experiment
 from florasim.cli import _config_from_args, build_parser, main
-from florasim.config import config_to_text, parse_config, read_config_text
+from florasim.config import _config_lines, config_to_text, parse_config
 from florasim.data import SKEW_KINDS, gen_task
 from florasim.lora import _MAX_INIT_BOUND, INIT_KINDS
-from florasim.simulation import STRATEGIES, ComparisonReport
+from florasim.simulation import STRATEGIES, ComparisonReport, _task_bytes
 from florasim.training import LOSS_KINDS
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def read_config_text(text: str) -> dict[str, str]:
+    """Flat key=value text as a raw mapping, split as a config file's is."""
+    return {key: value for key, (_, value) in _config_lines(text).items()}
 
 
 class TestParseConfig:
@@ -384,10 +391,8 @@ class TestConfigFlags:
 
 
 class TestReadme:
-    README = Path(__file__).resolve().parents[1] / "README.md"
-
     def test_flags_and_file_keys_match_the_cli_and_config(self):
-        text = " ".join(self.README.read_text(encoding="utf-8").split())
+        text = " ".join(README.read_text(encoding="utf-8").split())
         listed = re.search(r"All flags: `([^`]*)`", text).group(1).split()
         commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         accepted = [flag for a in commands.choices["run"]._actions for flag in a.option_strings]
@@ -398,7 +403,7 @@ class TestReadme:
         assert sorted(keys + file_only) == sorted(f.name for f in fields(ExperimentConfig))
 
     def test_flags_are_listed_in_the_parsers_order_and_the_file_only_keys_by_name(self):
-        text = " ".join(self.README.read_text(encoding="utf-8").split())
+        text = " ".join(README.read_text(encoding="utf-8").split())
         listed = re.search(r"All flags: `([^`]*)`", text).group(1).split()
         commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         run = [a for a in commands.choices["run"]._actions if a.dest != "help"]
@@ -470,66 +475,12 @@ class TestMain:
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert produced == ["sweep.sf0.01.csv", "sweep.sf0.05.csv", "sweep.sf0.1.csv", "sweep.sf0.2.csv"]
 
-    def test_m_or_n_below_the_default_teacher_rank_names_the_bound_and_the_key(self, tmp_path, capsys):
+    def test_m_and_n_below_the_default_teacher_rank_run_with_a_smaller_one(self, tmp_path):
         out = tmp_path / "x.csv"
-        assert main(["run", "--m", "2", "--n", "2", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: teacher_rank: must be in [1, min(m, n)] = [1, 2], got 4; "
-            "the default 4 is changed with teacher_rank in a --config file\n"
-        )
         path = tmp_path / "small.cfg"
         path.write_text("teacher_rank = 2\n")
         assert main(["run", "--m", "2", "--n", "2", "--config", str(path), "--out", str(out)]) == 0
         assert len(read_report(out)) == 4
-
-    def test_validation_failure_exits_one(self, tmp_path, capsys):
-        code = main(["run", "--clients", "0", "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_fedit_hetero_exits_one(self, tmp_path):
-        code = main(
-            [
-                "compare",
-                "--preset", "hetero",
-                "--strategies", "flora,fedit",
-                "--out", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize(
-        "command, taken",
-        [("run", "out.csv"), ("compare", "out.csv"), ("sweep-scaling", "out.sf0.05.csv")],
-    )
-    def test_out_naming_a_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command, taken):
-        # The report's directory exists, but a report path is a directory
-        # too; sweep-scaling derives one report path per factor.
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before the report paths were checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        (tmp_path / taken).mkdir()
-        code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(tmp_path / "out.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: out: report path {str(tmp_path / taken)!r} is a directory\n"
-
-    def test_task_too_large_to_allocate_exits_one_naming_its_size(self, tmp_path, capsys, monkeypatch):
-        # gen_task is never run at this size: it would ask for 74.5 GiB.
-        def out_of_memory(*args, **kwargs):
-            raise MemoryError
-
-        monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
-        code = main(
-            ["run", "--m", "100000", "--n", "100000", "--samples", "1000", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 1
-        values = 100000 * 100000 + 1000 * 200000
-        assert capsys.readouterr().err == (
-            f"error: m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
-            f"({8 * values} bytes, 76.0 GiB), more than could be allocated\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         ("flags", "values"),
@@ -564,31 +515,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: out:") and str(target.parent) in err
 
-    def test_out_set_in_a_config_file_names_the_file_and_line(self, tmp_path, capsys, monkeypatch):
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before the output directory was checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        monkeypatch.chdir(tmp_path)
-        Path("o.cfg").write_text("rounds = 1\nout = nodir/x.csv\n")
-        assert main(["run", "--config", "o.cfg"]) == 1
-        missing = "out: directory 'nodir' of 'nodir/x.csv' does not exist"
-        assert capsys.readouterr().err == f"error: o.cfg: line 2: {missing}\n"
-        # Given as a flag, the same out names no file.
-        assert main(["run", "--config", "o.cfg", "--out", "nodir/x.csv"]) == 1
-        assert capsys.readouterr().err == f"error: {missing}\n"
-
-    def test_repeated_strategy_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch):
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before the strategies were checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        out = tmp_path / "x.csv"
-        argv = ["compare", "--preset", "homo16", "--strategies", "flora,flora", "--rounds", "1", "--out", str(out)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: strategies: 'flora' is listed more than once\n"
-        assert not out.exists()
-
     def test_a_seed_out_of_range_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch):
         def no_rounds(*args, **kwargs):
             raise AssertionError("a round ran before the seed was checked")
@@ -602,41 +528,14 @@ class TestMain:
         assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {2**64}\n"
         assert not Path("x.csv").exists()
 
-    def test_undecodable_config_file_exits_one_naming_it(self, tmp_path, capsys):
-        path = tmp_path / "latin1.cfg"
-        path.write_bytes(b"\xff\xfe rounds = 2\n")
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config: cannot read") and str(path) in err
-
     @pytest.mark.parametrize("kind", INIT_KINDS)
-    def test_init_std_that_overflows_its_draw_exits_one(self, tmp_path, capsys, kind):
+    def test_an_init_std_that_every_draw_survives_runs(self, tmp_path, kind):
+        # At lr 0 the adapters stay as drawn.
         path = tmp_path / "init.cfg"
-        path.write_text(f"init_kind = {kind}\ninit_std = 1e308\n")
-        code = main(["run", "--preset", "homo16", "--config", str(path), "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: line 2: init_std: 1e+308 can overflow")
-        # A large std that every draw survives runs; at lr 0 the adapters stay as drawn.
         path.write_text(f"init_kind = {kind}\ninit_std = 1e300\nlr = 0\n")
         code = main(["run", "--preset", "homo16", "--config", str(path), "--out", str(tmp_path / "x.csv")])
         assert code == 0
         assert len(read_report(tmp_path / "x.csv")) == 4
-
-    def test_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            code = main(
-                [
-                    "compare",
-                    "--preset", "hetero",
-                    "--strategies", "flora,zero_padding",
-                    "--lr", "5000",
-                    "--out", str(tmp_path / "div.csv"),
-                ]
-            )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) " in err
 
     def test_averaging_overflow_exits_two_naming_the_clients(self, tmp_path, capsys, monkeypatch):
         # Clients 8 and 9 upload finite factors of +-1e200, which cancel in the
@@ -668,66 +567,6 @@ class TestMain:
             "error: strategy flora diverged in round 1: non-finite update b @ a from client(s) "
             "0, 1, 2, 3, 4, 5, 6, 7, 8, 9"
         ]
-
-    def test_finite_divergence_exits_two(self, tmp_path, capsys):
-        # Under softmax the held-out loss can grow far past the baseline and
-        # stay finite; standalone's passes DIVERGENCE_RATIO times it in round 4.
-        out = tmp_path / "div.csv"
-        code = main(
-            [
-                "compare",
-                "--preset", "hetero",
-                "--strategies", "flora,zero_padding,standalone,centralized",
-                "--loss", "softmax-cross-entropy",
-                "--lr", "3",
-                "--rounds", "10",
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: strategy standalone diverged in round 4: "
-            "the held-out loss is 6.8e+04 times the baseline\n"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "strategies, expected",
-        [
-            (
-                "flora,standalone",
-                "strategy flora diverged in round 2: the held-out loss is 2.46e+04 times the baseline",
-            ),
-            (
-                "standalone,flora",
-                "strategy standalone diverged in round 1: the held-out loss is 1.05e+03 times the baseline",
-            ),
-        ],
-    )
-    def test_the_first_listed_strategy_that_diverged_is_reported(self, tmp_path, capsys, strategies, expected):
-        # Standalone diverges in round 1 and flora in round 2; the error is
-        # that of whichever is listed first, as if each ran all its rounds in turn.
-        out = tmp_path / "div.csv"
-        argv = ["compare", "--preset", "hetero", "--loss", "softmax-cross-entropy", "--lr", "10",
-                "--rounds", "10", "--strategies", strategies, "--out", str(out)]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {expected}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
-    def test_reference_divergence_exits_two_naming_strategy_and_round(self, tmp_path, capsys, strategy):
-        with np.errstate(all="ignore"):
-            code = main(
-                [
-                    "run",
-                    "--preset", "hetero",
-                    "--strategy", strategy,
-                    "--lr", "1e8",
-                    "--out", str(tmp_path / "div.csv"),
-                ]
-            )
-        assert code == 2
-        assert f"error: strategy {strategy} diverged in round 1: " in capsys.readouterr().err
 
     def test_determinism_of_compare_files(self, tmp_path):
         blobs = []
@@ -825,29 +664,13 @@ class TestOneRunner:
         assert capsys.readouterr().err == f"error: {path}: line 2: {separator}\n"
 
 
-def no_rounds(*args):
+def no_rounds(*args, **kwargs):
     raise AssertionError("a round ran before the command's flags and keys were checked")
 
 
 class TestUnreadKeys:
     """run reads no strategies and sweep-scaling no scaling_override: each
     refuses the flag and ignores a preset's or file's value."""
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["run", "--strategies", "fedit,zero_padding"], "strategies: run trains the one strategy --strategy names"),
-            (
-                ["sweep-scaling", "--scaling-override", "0.3"],
-                "scaling_override: sweep-scaling weights the clients by each factor it sweeps",
-            ),
-        ],
-    )
-    def test_a_flag_the_command_would_ignore_exits_one(self, tmp_path, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        assert main([*argv, *TINY, "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
 
     def test_run_names_the_file_line_that_set_its_one_strategy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_comparisons", no_rounds)
@@ -872,51 +695,77 @@ class TestUnreadKeys:
             assert (tmp_path / f"a.sf{factor}.csv").read_bytes() == (tmp_path / f"b.sf{factor}.csv").read_bytes()
 
 
-def test_a_baseline_loss_that_is_not_finite_exits_one_naming_noise_std(tmp_path, capsys):
-    # The targets stay finite, but the held-out squared error overflows.
-    code = main(["run", *TINY, "--noise-std", "1e160", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: noise_std: 1e+160 makes the baseline held-out loss non-finite\n"
-    )
-    assert not (tmp_path / "x.csv").exists()
+def gen_task_within_a_gib(dim, samples, *args):
+    """gen_task, except that a task of more than 1 GiB is never allocated: it
+    raises MemoryError, as on a host that cannot hold it."""
+    if _task_bytes(dim.m, dim.n, samples) > 2**30:
+        raise MemoryError
+    return gen_task(dim, samples, *args)
 
 
-class TestProblemsFoundAfterParsing:
-    """A problem found after parse_config returns, by the sweep's report
-    paths or while the task is built, names the file and line that set its
-    key, as parse_config's own problems do."""
+def failure_table():
+    """README's failure table: one (command, files, exit code, stderr) per row."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n| command | files | exit | stderr |\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        command, files, code, stderr = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append(pytest.param(command.strip("`"), files, int(code), stderr.strip("`"), id=command.strip("`")))
+    return rows
 
-    def test_a_sweep_path_that_is_a_directory_names_the_line_that_set_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        Path("s.cfg").write_text("rounds = 1\nout = r.csv\n")
-        Path("r.sf0.1.csv").mkdir()
-        assert main(["sweep-scaling", "--config", "s.cfg"]) == 1
-        assert capsys.readouterr().err == "error: s.cfg: line 2: out: report path 'r.sf0.1.csv' is a directory\n"
 
-    def test_a_non_finite_baseline_names_the_line_that_set_noise_std(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        Path("n.cfg").write_text("rounds = 1\nnoise_std = 1e160\n")
-        assert main(["run", *TINY, "--config", "n.cfg", "--out", "x.csv"]) == 1
-        assert capsys.readouterr().err == (
-            "error: n.cfg: line 2: noise_std: 1e+160 makes the baseline held-out loss non-finite\n"
-        )
-        assert not Path("x.csv").exists()
+@pytest.mark.parametrize("command, files, code, stderr", failure_table())
+def test_each_failure_table_row(tmp_path, capsys, monkeypatch, command, files, code, stderr):
+    """Run as typed in an empty directory that holds only the row's files, the
+    row exits with its code and prints its one error line, and writes no
+    report; a row that exits 1 runs no round."""
+    monkeypatch.chdir(tmp_path)
+    # Files are "`name`: `line`, `line`", a directory "`name/`", joined by "; ";
+    # a line is ASCII, with \x escapes for other bytes.
+    for entry in filter(None, files.split("; ")):
+        name, *lines = re.findall(r"`([^`]*)`", entry)
+        if name.endswith("/"):
+            Path(name).mkdir()
+        else:
+            text = "".join(f"{line}\n" for line in lines)
+            Path(name).write_bytes(text.encode().decode("unicode_escape").encode("latin-1"))
+    made = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(florasim.simulation, "gen_task", gen_task_within_a_gib)
+    if code == 1:
+        monkeypatch.setattr(florasim.simulation, "run_round", no_rounds)
+        monkeypatch.setattr(florasim.simulation, "_train", no_rounds)
+    assert main(shlex.split(command)[1:]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if stderr.endswith("…"):
+        assert err.startswith(stderr.removesuffix("…")) and err.count("\n") == 1
+    else:
+        assert err == f"{stderr}\n"
+    assert sorted(tmp_path.iterdir()) == made
 
-    def test_a_task_too_large_to_allocate_names_the_line_that_set_m(self, tmp_path, capsys, monkeypatch):
-        # gen_task is never run at this size: it would ask for 74.5 GiB.
-        def out_of_memory(*args, **kwargs):
-            raise MemoryError
 
-        monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
-        monkeypatch.chdir(tmp_path)
-        Path("big.cfg").write_text("samples = 1000\nm = 100000\nn = 100000\n")
-        for command in ("run", "compare", "sweep-scaling"):
-            assert main([command, "--config", "big.cfg", "--out", "x.csv"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: big.cfg: line 2: m, n, samples: the task needs ")
-            assert err.endswith("more than could be allocated\n")
-        assert list(tmp_path.iterdir()) == [tmp_path / "big.cfg"]
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: florasim")
+
+
+def test_a_task_too_large_to_allocate_names_the_line_that_set_m(tmp_path, capsys, monkeypatch):
+    # gen_task is never run at this size: it would ask for 74.5 GiB.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    Path("big.cfg").write_text("samples = 1000\nm = 100000\nn = 100000\n")
+    for command in ("run", "compare", "sweep-scaling"):
+        assert main([command, "--config", "big.cfg", "--out", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: big.cfg: line 2: m, n, samples: the task needs ")
+        assert err.endswith("more than could be allocated\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "big.cfg"]
 
 
 # A comparison at m = n = 256, whose products are large enough for OpenBLAS

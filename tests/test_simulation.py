@@ -22,7 +22,7 @@ from florasim import (
     run_round,
 )
 from florasim.comm import emit_rows
-from florasim.config import parse_config, with_overrides
+from florasim.config import parse_config
 from florasim.data import scaling_factors
 from florasim.lora import InitPolicy, init_adapter
 from florasim.rng import derive_seed
@@ -49,6 +49,13 @@ SMALL = ExperimentConfig(
     teacher_rank=2,
     seed=5,
 )
+
+
+def with_overrides(config, **kwargs):
+    """The config with kwargs replaced, validated."""
+    updated = replace(config, **kwargs)
+    updated.validate()
+    return updated
 
 
 def fresh_world(config):
