@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .comm import emit_rows
-from .config import PRESETS, SCALING_SWEEP, parse_config_located
+from .config import PRESETS, SCALING_SWEEP, _report_path_problem, parse_config_located
 from .errors import ConfigError
 from .simulation import STRATEGIES, run_comparisons
 from .verification import run_all
@@ -116,18 +116,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-scaling":
             factors = SCALING_SWEEP
             reports = [_sweep_path(config.out, factor) for factor in factors]
-            # parse_config checked out itself; a derived path that is a
-            # directory fails now, not after the last round.
-            taken = [f"out: report path {path!r} is a directory" for path in reports if Path(path).is_dir()]
-            if taken:
-                raise ConfigError([locate(problem) for problem in taken])
         else:
             factors, reports = [config.scaling_override], [config.out]
         try:
-            comparisons = run_comparisons(config, strategies, factors)
-        except ConfigError as exc:
+            # Every report path passes the check parse_config made of out, a
+            # sweep's derived paths included, before the first round.
+            problems = [problem for problem in map(_report_path_problem, reports) if problem]
+            if problems:
+                raise ConfigError(problems)
             # Building the task finds some problems (a task too large to
             # allocate, a non-finite baseline) that parse_config cannot.
+            comparisons = run_comparisons(config, strategies, factors)
+        except ConfigError as exc:
             raise ConfigError([locate(problem) for problem in exc.problems]) from None
         for path, comparison in zip(reports, comparisons):
             emit_rows(comparison.to_rows(), path, seed=config.seed)

@@ -2,14 +2,13 @@
 
 Counts are parameter counts, not bytes; a bytes view is a presentation
 multiplier. Round 0 charges the one-time dense-model broadcast (m*n per
-client) for every strategy including full fine-tuning, so every total
-starts from the same broadcast. From then on each round charges, per client:
+client) for every strategy, so every total starts from the same broadcast.
+From then on each round charges, per client:
 
     upload              rank_k * (m + n)              any adapter strategy
     download, averaging max rank * (m + n)            the averaged pair (ranks unchecked)
     download, padding   max rank * (m + n)            the padded pair
     download, stacking  (sum of ranks) * (m + n)      the stacked pair
-    full fine-tuning    m * n up and m * n down
 
 The ledger does not check averaging's equal-rank rule; the round checks it
 before any client trains, so in a run its max rank is the one rank. Each
@@ -27,11 +26,6 @@ from typing import Iterable, get_type_hints
 
 PAYLOAD_KINDS = ("full_model", "adapter", "stacked_adapter")
 DIRECTIONS = ("up", "down")
-
-# Strategy names accepted by the ledger; "full_ft" is the dense reference
-# that totals are compared against and is not a simulator strategy.
-LEDGER_STRATEGIES = ("flora", "fedit", "zero_padding", "standalone", "centralized", "full_ft")
-
 
 @dataclass(frozen=True)
 class CommEvent:
@@ -92,8 +86,12 @@ def charge_round(
     ranks = [rank for _, rank in participants]
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
-    if strategy not in LEDGER_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {LEDGER_STRATEGIES}")
+    if strategy == "flora":
+        down_count, down_kind = sum(ranks) * (m + n), "stacked_adapter"
+    elif strategy in ("fedit", "zero_padding"):
+        down_count, down_kind = max(ranks) * (m + n), "adapter"
+    elif strategy not in ("standalone", "centralized"):
+        raise ValueError(f"unknown strategy {strategy!r}")
 
     down = 0
     if round_index == 0:
@@ -106,16 +104,6 @@ def charge_round(
 
     if strategy in ("standalone", "centralized"):
         return 0, down
-    if strategy == "full_ft":
-        for client, _ in participants:
-            ledger.add(CommEvent(round_index, "up", client, m * n, "full_model"))
-            ledger.add(CommEvent(round_index, "down", client, m * n, "full_model"))
-        return len(participants) * m * n, down + len(participants) * m * n
-
-    if strategy == "flora":
-        down_count, down_kind = sum(ranks) * (m + n), "stacked_adapter"
-    else:
-        down_count, down_kind = max(ranks) * (m + n), "adapter"
     for client, rank in participants:
         ledger.add(CommEvent(round_index, "up", client, rank * (m + n), "adapter"))
         ledger.add(CommEvent(round_index, "down", client, down_count, down_kind))

@@ -113,11 +113,7 @@ class ExperimentConfig:
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             p.append(f"noise_std: must be finite and >= 0, got {self.noise_std}")
         if self.m >= 1 and self.n >= 1 and not (1 <= self.teacher_rank <= min(self.m, self.n)):
-            problem = f"teacher_rank: must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], got {self.teacher_rank}"
-            if self.teacher_rank == ExperimentConfig.teacher_rank:
-                # No flag sets teacher_rank, so a user who did not set it learns where it is set.
-                problem += f"; the default {self.teacher_rank} is changed with teacher_rank in a --config file"
-            p.append(problem)
+            p.append(f"teacher_rank: must be in [1, min(m, n)] = [1, {min(self.m, self.n)}], got {self.teacher_rank}")
         if self.init_kind not in INIT_KINDS:
             p.append(f"init_kind: unknown kind {self.init_kind!r}, expected one of {INIT_KINDS}")
         limit = _MAX_INIT_BOUND.get(self.init_kind, np.inf)
@@ -180,10 +176,10 @@ def _config_lines(text: str) -> dict[str, tuple[int, str]]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
+        key, equals, value = stripped.partition("=")
+        if not equals or not key.strip():
             problems.append(f"line {lineno}: expected key=value, got {stripped!r}")
             continue
-        key, value = stripped.split("=", 1)
         entries[key.strip()] = (lineno, value.strip())
     if problems:
         raise ConfigError(problems)
@@ -197,9 +193,8 @@ def parse_config(
 ) -> ExperimentConfig:
     """Build a validated config from preset, file and override layers.
 
-    ``out`` must name a path that is not a directory and does not end in a
-    path separator, in a directory that exists, since every report goes
-    there or beside it.
+    ``out`` must be non-empty, not a directory, and in a directory that
+    exists, since every report goes there or beside it.
     A problem with a key the file set names the file and the key's line; a
     problem with default values names the file too, if one was read.
     """
@@ -255,18 +250,29 @@ def parse_config_located(
         config.validate()
     except ConfigError as exc:
         problems = exc.problems
-    out = Path(config.out)
-    if not config.out:
-        problems.append("out: the report path is empty")
-    elif out.is_dir():
-        problems.append(f"out: report path {config.out!r} is a directory")
-    elif config.out.endswith(("/", os.sep)):
-        problems.append(f"out: report path {config.out!r} ends in a path separator")
-    elif not out.parent.is_dir():
-        problems.append(f"out: directory {str(out.parent)!r} of {config.out!r} does not exist")
+    if "teacher_rank" not in where:
+        # No flag sets teacher_rank, so a user who did not set it learns where it is set.
+        hint = f"; the default {config.teacher_rank} is changed with teacher_rank in a --config file"
+        problems = [p + hint if p.startswith("teacher_rank:") else p for p in problems]
+    if out_problem := _report_path_problem(config.out):
+        problems.append(out_problem)
     if problems:
         raise ConfigError([_locate(problem, where, path) for problem in problems])
     return config, functools.partial(_locate, where=where, path=path)
+
+
+def _report_path_problem(out: str) -> str | None:
+    """Why no report can be written to ``out``, or None: it is empty, a
+    directory, or in a directory that does not exist (the one its text
+    names, or else the working one)."""
+    if not out:
+        return "out: the report path is empty"
+    if os.path.isdir(out):
+        return f"out: report path {out!r} is a directory"
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        return f"out: directory {directory!r} of {out!r} does not exist"
+    return None
 
 
 def _locate(problem: str, where: dict[str, str], path: str | Path | None) -> str:

@@ -63,7 +63,8 @@ from .training import ToyModel, TrainConfig, _target_matrix, evaluate, local_tra
 FEDERATED_STRATEGIES = ("flora", "fedit", "zero_padding")
 STRATEGIES = FEDERATED_STRATEGIES + ("standalone", "centralized")
 
-# A run whose held-out loss exceeds this multiple of the baseline diverged.
+# A run whose held-out loss exceeds this multiple of the baseline diverged;
+# golden, verify and benchmark runs stay within 1.0.
 DIVERGENCE_RATIO = 1e3
 
 # Stream tags keeping the per-purpose seed derivations disjoint.
@@ -190,13 +191,13 @@ def run_round(
     """Execute one federated round and return its report row."""
     if strategy not in FEDERATED_STRATEGIES:
         raise ConfigError([f"strategy: {strategy!r} cannot drive a federated round"])
+    if not clients:
+        raise ConfigError(["clients: a round needs at least one client"])
     ranks = [c.rank for c in clients]
     if strategy == "fedit" and len(set(ranks)) != 1:
         raise ConfigError(
             [f"strategy: fedit requires homogeneous ranks, got {sorted(set(ranks))}"]
         )
-    if not clients:
-        raise ConfigError(["clients: a round needs at least one client"])
 
     t, dim = server.round, server.base.dim
     # Generated lazily, so each fresh adapter is made just before its client trains.

@@ -261,7 +261,7 @@ def check_comm_accounting() -> tuple[bool, str]:
         return False, f"trainable_fraction {trainable_fraction(dim, 16)} != 0.0078125"
     k, r, rounds = 10, 16, 3
     totals = {}
-    for strategy in ("flora", "fedit", "full_ft"):
+    for strategy in ("flora", "fedit"):
         ledger = CommLedger()
         for t in range(rounds):
             charge_round(ledger, strategy, dim, [(i, r) for i in range(k)], t)
@@ -271,8 +271,6 @@ def check_comm_accounting() -> tuple[bool, str]:
     fedit_expected = k * (m * n + rounds * 2 * r * (m + n))
     if totals["flora"] != flora_expected or totals["fedit"] != fedit_expected:
         return False, f"totals {totals} != closed forms"
-    if totals["full_ft"] != k * m * n * (1 + 2 * rounds):
-        return False, "full fine-tuning total mismatch"
     adapter_only = k * rounds * 2 * r * (m + n)
     broadcast = k * m * n
     ordered = totals["flora"] > totals["fedit"] > adapter_only

@@ -141,6 +141,12 @@ class TestParseConfig:
         assert len(err.value.problems) == 1
         assert err.value.problems[0].startswith(f"{key}: ")
 
+    def test_validate_states_the_teacher_rank_bound_alone(self):
+        # Only parse_config knows where teacher_rank was set, so it adds the hint.
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(m=2, n=2).validate()
+        assert err.value.problems == ["teacher_rank: must be in [1, min(m, n)] = [1, 2], got 4"]
+
     def test_a_repeated_strategy_is_invalid(self):
         with pytest.raises(ConfigError) as err:
             parse_config(overrides={"strategies": "flora,fedit,flora,fedit,standalone"})
@@ -482,52 +488,6 @@ class TestMain:
         assert main(["run", "--m", "2", "--n", "2", "--config", str(path), "--out", str(out)]) == 0
         assert len(read_report(out)) == 4
 
-    @pytest.mark.parametrize(
-        ("flags", "values"),
-        [
-            (["--samples", "4611686018427387904"], 16 * 16 + 4611686018427387904 * 32),
-            (["--m", "4294967296", "--n", "4294967296"], 2**64 + 1000 * 2**33),
-        ],
-        ids=["samples", "m-and-n"],
-    )
-    def test_task_no_array_can_hold_exits_one_before_any_allocation(self, tmp_path, capsys, monkeypatch, flags, values):
-        def no_task(*args, **kwargs):
-            raise AssertionError("the task was generated before the config was validated")
-
-        monkeypatch.setattr(florasim.simulation, "gen_task", no_task)
-        code = main(["run", "--rounds", "1", *flags, "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: m, n, samples: the task needs m*n + samples*(m+n) = {values} float64 values "
-            f"({8 * values} bytes, {8 * values / 2**30:.1f} GiB), more than could be allocated\n"
-        )
-        assert not (tmp_path / "x.csv").exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare", "sweep-scaling"])
-    def test_missing_out_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command):
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before the output directory was checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        target = tmp_path / "no-such-dir" / "out.csv"
-        code = main([command, "--preset", "homo16", "--rounds", "1", "--out", str(target)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: out:") and str(target.parent) in err
-
-    def test_a_seed_out_of_range_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch):
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before the seed was checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        monkeypatch.chdir(tmp_path)
-        Path("s.cfg").write_text("rounds = 1\nseed = -1\n")
-        assert main(["compare", "--config", "s.cfg", "--out", "x.csv"]) == 1
-        assert capsys.readouterr().err == "error: s.cfg: line 2: seed: must be in [0, 2**64), got -1\n"
-        assert main(["compare", "--preset", "homo16", "--seed", str(2**64), "--out", "x.csv"]) == 1
-        assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {2**64}\n"
-        assert not Path("x.csv").exists()
-
     @pytest.mark.parametrize("kind", INIT_KINDS)
     def test_an_init_std_that_every_draw_survives_runs(self, tmp_path, kind):
         # At lr 0 the adapters stay as drawn.
@@ -636,33 +596,6 @@ class TestOneRunner:
         assert len(calls) == 1
         assert len(list(tmp_path.iterdir())) == 4
 
-    @pytest.mark.parametrize("command", ["run", "sweep-scaling"])
-    def test_out_that_is_empty_or_a_directory_exits_one_before_any_round(self, tmp_path, capsys, monkeypatch, command):
-        def no_rounds(*args, **kwargs):
-            raise AssertionError("a round ran before out was checked")
-
-        monkeypatch.setattr(cli, "run_comparisons", no_rounds)
-        (tmp_path / "dir").mkdir()
-        cases = [
-            ("", "out: the report path is empty"),
-            ("/", "out: report path '/' is a directory"),
-            (f"{tmp_path / 'dir'}/", f"out: report path '{tmp_path / 'dir'}/' is a directory"),
-            (f"{tmp_path / 'nodir'}/", f"out: report path '{tmp_path / 'nodir'}/' ends in a path separator"),
-        ]
-        for out, message in cases:
-            assert main([command, "--rounds", "1", "--out", out]) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
-        # Nothing was written beside the directory either.
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
-        path = tmp_path / "o.cfg"
-        path.write_text("rounds = 1\nout =\n")
-        assert main([command, "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: line 2: out: the report path is empty\n"
-        path.write_text(f"rounds = 1\nout = {tmp_path / 'nodir'}/\n")
-        assert main([command, "--config", str(path)]) == 1
-        separator = f"out: report path '{tmp_path / 'nodir'}/' ends in a path separator"
-        assert capsys.readouterr().err == f"error: {path}: line 2: {separator}\n"
-
 
 def no_rounds(*args, **kwargs):
     raise AssertionError("a round ran before the command's flags and keys were checked")
@@ -697,28 +630,37 @@ class TestUnreadKeys:
 
 def gen_task_within_a_gib(dim, samples, *args):
     """gen_task, except that a task of more than 1 GiB is never allocated: it
-    raises MemoryError, as on a host that cannot hold it."""
-    if _task_bytes(dim.m, dim.n, samples) > 2**30:
+    raises MemoryError, as on a host that cannot hold it. A task larger than
+    any array can be is a failure of the command: validation refuses it."""
+    size = _task_bytes(dim.m, dim.n, samples)
+    if size > np.iinfo(np.intp).max:
+        raise AssertionError(f"a task of {size} bytes was generated before the config was validated")
+    if size > 2**30:
         raise MemoryError
     return gen_task(dim, samples, *args)
 
 
 def failure_table():
-    """README's failure table: one (command, files, exit code, stderr) per row."""
+    """README's failure table: one (command, files, exit code, stderr) per
+    command of a row; "florasim {run,compare} ..." names two commands."""
     text = README.read_text(encoding="utf-8")
     table = text.split("\n| command | files | exit | stderr |\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
     rows = []
     for line in table.splitlines():
         command, files, code, stderr = (cell.strip() for cell in line.strip("|").split("|"))
-        rows.append(pytest.param(command.strip("`"), files, int(code), stderr.strip("`"), id=command.strip("`")))
+        command, stderr = command.strip("`"), stderr.strip("`")
+        braces = re.search(r"\{([^}]*)\}", command)
+        typed = [command.replace(braces.group(0), name) for name in braces.group(1).split(",")] if braces else [command]
+        rows += [pytest.param(each, files, int(code), stderr, id=each) for each in typed]
     return rows
 
 
 @pytest.mark.parametrize("command, files, code, stderr", failure_table())
 def test_each_failure_table_row(tmp_path, capsys, monkeypatch, command, files, code, stderr):
     """Run as typed in an empty directory that holds only the row's files, the
-    row exits with its code and prints its one error line, and writes no
-    report; a row that exits 1 runs no round."""
+    command exits with its code and prints its one error line, and writes no
+    report; one that exits 1 runs no round, and none builds a task larger
+    than any array."""
     monkeypatch.chdir(tmp_path)
     # Files are "`name`: `line`, `line`", a directory "`name/`", joined by "; ";
     # a line is ASCII, with \x escapes for other bytes.
@@ -750,22 +692,6 @@ def test_help_exits_zero(capsys, argv):
         main(argv)
     assert done.value.code == 0
     assert capsys.readouterr().out.startswith("usage: florasim")
-
-
-def test_a_task_too_large_to_allocate_names_the_line_that_set_m(tmp_path, capsys, monkeypatch):
-    # gen_task is never run at this size: it would ask for 74.5 GiB.
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(florasim.simulation, "gen_task", out_of_memory)
-    monkeypatch.chdir(tmp_path)
-    Path("big.cfg").write_text("samples = 1000\nm = 100000\nn = 100000\n")
-    for command in ("run", "compare", "sweep-scaling"):
-        assert main([command, "--config", "big.cfg", "--out", "x.csv"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: big.cfg: line 2: m, n, samples: the task needs ")
-        assert err.endswith("more than could be allocated\n")
-    assert list(tmp_path.iterdir()) == [tmp_path / "big.cfg"]
 
 
 # A comparison at m = n = 256, whose products are large enough for OpenBLAS

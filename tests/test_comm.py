@@ -38,9 +38,6 @@ def closed_form_total(strategy, m, n, ranks, rounds):
     if strategy in ("standalone", "centralized"):
         return total
     for _ in range(rounds):
-        if strategy == "full_ft":
-            total += k * 2 * m * n
-            continue
         total += sum(r * (m + n) for r in ranks)
         if strategy == "flora":
             per_client_down = sum(ranks) * (m + n)
@@ -57,7 +54,6 @@ class TestChargeRound:
         ranks = [16] * 10
         flora = charged_ledger("flora", BIG, ranks, 1)
         fedit = charged_ledger("fedit", BIG, ranks, 1)
-        full = charged_ledger("full_ft", BIG, ranks, 1)
 
         def downloads(ledger, kind):
             return {e.param_count for e in ledger.events if e.direction == "down" and e.payload_kind == kind}
@@ -65,7 +61,6 @@ class TestChargeRound:
         assert downloads(flora, "stacked_adapter") == {160 * 8192}
         assert 160 * 8192 == 1_310_720
         assert downloads(fedit, "adapter") == {131_072}
-        assert downloads(full, "full_model") == {16_777_216}
 
     def test_upload_is_strategy_independent(self):
         ranks = [64, 32, 16, 16, 8, 8, 4, 4, 4, 4]
@@ -94,7 +89,7 @@ class TestChargeRound:
         with pytest.raises(ValueError):
             charge_round(ledger, "warp", Dim(4, 4), [(0, 1)], 0)
 
-    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "full_ft", "standalone"])
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "standalone"])
     def test_matches_independent_closed_form(self, strategy):
         gen = np.random.default_rng(40)
         for _ in range(20):
@@ -108,7 +103,7 @@ class TestChargeRound:
             ledger = charged_ledger(strategy, Dim(m, n), ranks, rounds)
             assert ledger.total() == closed_form_total(strategy, m, n, ranks, rounds)
 
-    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "full_ft", "standalone", "centralized"])
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "standalone", "centralized"])
     def test_returns_the_totals_it_appended(self, strategy):
         gen = np.random.default_rng(42)
         for _ in range(10):
@@ -153,13 +148,6 @@ class TestCommLedger:
         receivers = 1 if strategy == "centralized" else k
         assert ledger.round_totals(0) == (0, receivers * dim.m * dim.n)
         assert ledger.round_totals(1) == ledger.round_totals(2) == (0, 0)
-
-    def test_full_ft_moves_the_dense_model_both_ways_every_round(self):
-        k, dim = 3, Dim(8, 6)
-        ledger = charged_ledger("full_ft", dim, [2] * k, 3)
-        dense = k * dim.m * dim.n
-        assert ledger.round_totals(0) == (dense, 2 * dense)
-        assert ledger.round_totals(1) == ledger.round_totals(2) == (dense, dense)
 
 
 class TestCommEvent:

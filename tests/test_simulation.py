@@ -187,7 +187,7 @@ class TestRunRound:
             server = merge_fixed_uploads(monkeypatch, strategy, base, TWO_CLIENT_UPLOADS)
             assert server.base.w.tolist() == [[0.5, 1.0], [0.5, 1.0]]
 
-    @pytest.mark.parametrize("strategy", ["standalone", "centralized", "full_ft"])
+    @pytest.mark.parametrize("strategy", ["standalone", "centralized"])
     def test_a_reference_strategy_cannot_drive_a_round(self, monkeypatch, strategy):
         def no_training(*args):
             raise AssertionError("a client trained before the strategy was checked")
@@ -197,6 +197,14 @@ class TestRunRound:
         with pytest.raises(ConfigError) as err:
             run_round(server, clients, strategy, TrainConfig(), eval_set)
         assert err.value.problems == [f"strategy: {strategy!r} cannot drive a federated round"]
+        assert server.round == 0 and server.ledger.events == []
+
+    @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
+    def test_a_round_without_clients_is_refused_before_the_rank_check(self, strategy):
+        server, _, eval_set = fresh_world(SMALL)
+        with pytest.raises(ConfigError) as err:
+            run_round(server, [], strategy, TrainConfig(), eval_set)
+        assert err.value.problems == ["clients: a round needs at least one client"]
         assert server.round == 0 and server.ledger.events == []
 
     @pytest.mark.parametrize("strategy", ["fedit", "zero_padding"])
