@@ -138,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive surface for the CLI
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

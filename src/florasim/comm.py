@@ -14,6 +14,10 @@ The ledger does not check averaging's equal-rank rule; the round checks it
 before any client trains, so in a run its max rank is the one rank. Each
 client's transmissions are charged to its client id. Standalone and
 centralized runs communicate nothing after the broadcast.
+
+``charge_round`` hands each transmission to ``CommLedger.add`` as one
+``CommEvent``; the ledger keeps only each round's params up and params
+down, so a run's traffic record does not grow with its client count.
 """
 
 from __future__ import annotations
@@ -42,27 +46,32 @@ class CommEvent:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if self.payload_kind not in PAYLOAD_KINDS:
             raise ValueError(f"payload_kind must be one of {PAYLOAD_KINDS}")
-        if self.param_count < 0:
-            raise ValueError("param_count must be >= 0")
+        if self.round < 0 or self.param_count < 0:
+            raise ValueError(f"round and param_count must be >= 0, got {self.round} and {self.param_count}")
 
 
 @dataclass
 class CommLedger:
-    """Append-only record of transmissions for one experiment run."""
+    """Traffic totals of one experiment run: the params up and params down
+    of each round, indexed by round. It keeps no transmission."""
 
-    events: list[CommEvent] = field(default_factory=list)
+    up: list[int] = field(default_factory=list)
+    down: list[int] = field(default_factory=list)
 
     def add(self, event: CommEvent) -> None:
-        self.events.append(event)
+        for totals in (self.up, self.down):
+            totals.extend([0] * (event.round + 1 - len(totals)))
+        # Each direction names its list of totals.
+        getattr(self, event.direction)[event.round] += event.param_count
 
     def total(self) -> int:
-        return sum(e.param_count for e in self.events)
+        return sum(self.up) + sum(self.down)
 
     def round_totals(self, round_index: int) -> tuple[int, int]:
-        """(params up, params down) accumulated in one round."""
-        up = sum(e.param_count for e in self.events if e.round == round_index and e.direction == "up")
-        down = sum(e.param_count for e in self.events if e.round == round_index and e.direction == "down")
-        return up, down
+        """(params up, params down) accumulated in one round; (0, 0) for a
+        round never charged."""
+        charged = 0 <= round_index < len(self.up)
+        return (self.up[round_index], self.down[round_index]) if charged else (0, 0)
 
 
 def charge_round(
@@ -72,17 +81,21 @@ def charge_round(
     participants: list[tuple[int, int]],
     round_index: int,
 ) -> tuple[int, int]:
-    """Append the transmissions of one round to the ledger.
+    """Charge the transmissions of one round to the ledger, one ``add`` each.
 
     ``participants`` are the round's (client id, adapter rank) pairs; each
     client's transmissions are charged to its id. Round 0 also charges the
     initial dense broadcast. ``dim`` is anything with integer attributes m
-    and n. Returns the (params up, params down) just appended, which equals
-    ``ledger.round_totals(round_index)`` when the round is charged once.
+    and n. Raises ValueError, before any charge, for a round without
+    participants. Returns the round's (params up, params down) totals read
+    back from the ledger, so a report row holds no copy of them; they are
+    the round's own traffic when the round is charged once.
     """
     m, n = dim.m, dim.n
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got ({m}, {n})")
+    if not participants:
+        raise ValueError(f"round {round_index} has no participants to charge")
     ranks = [rank for _, rank in participants]
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
@@ -93,21 +106,18 @@ def charge_round(
     elif strategy not in ("standalone", "centralized"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    down = 0
     if round_index == 0:
         # One m*n charge per receiving client, addressed as "broadcast" so the
         # one-time dissemination stays distinguishable from per-round traffic.
-        broadcast_to = 1 if strategy == "centralized" else len(participants)
-        for _ in range(broadcast_to):
+        for _ in range(1 if strategy == "centralized" else len(participants)):
             ledger.add(CommEvent(0, "down", "broadcast", m * n, "full_model"))
-        down = broadcast_to * m * n
-
-    if strategy in ("standalone", "centralized"):
-        return 0, down
-    for client, rank in participants:
-        ledger.add(CommEvent(round_index, "up", client, rank * (m + n), "adapter"))
-        ledger.add(CommEvent(round_index, "down", client, down_count, down_kind))
-    return sum(ranks) * (m + n), down + len(participants) * down_count
+    if strategy not in ("standalone", "centralized"):
+        for client, rank in participants:
+            ledger.add(CommEvent(round_index, "up", client, rank * (m + n), "adapter"))
+            ledger.add(CommEvent(round_index, "down", client, down_count, down_kind))
+    elif round_index > 0:
+        return 0, 0
+    return ledger.up[round_index], ledger.down[round_index]
 
 
 REPORT_SCHEMA = 1

@@ -23,14 +23,15 @@ strategy, in the listed order, comes before round t + 1 of any, and within a
 round the clients train one after another in client order. All randomness
 is derived per (experiment seed, client, round), and strategies share only
 the read-only world, so a client's adapter does not depend on which clients
-or strategies trained before it. Under partial participation each round's
-clients are drawn once per experiment, with its data, so every federated
-strategy of a comparison trains the same clients in the same round.
+or strategies trained before it. Under partial participation a comparison
+draws round t's clients when round t begins, once for all its strategies,
+so every federated strategy of a comparison trains the same clients in the
+same round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,7 +82,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 @dataclass
 class ServerState:
-    """Global weights, the round counter, and the transmission ledger."""
+    """Global weights, the round counter, and the traffic ledger."""
 
     base: BaseWeights
     round: int = 0
@@ -166,12 +167,14 @@ def _train(
 def _close_round(
     server: ServerState,
     strategy: str,
+    parties: list[tuple[int, int]],
     loss: float,
     noise: float | None,
-    traffic: tuple[int, int],
 ) -> ReportRow:
-    """Advance the round counter and report the round just trained and charged,
-    numbered as in the report (round t of the server is row t + 1)."""
+    """Charge the round just trained to its (client id, rank) parties, advance
+    the round counter and report the round, numbered as in the report (round
+    t of the server is row t + 1)."""
+    traffic = charge_round(server.ledger, strategy, server.base.dim, parties, server.round)
     server.round += 1
     if not np.isfinite(loss):
         raise DivergenceError(strategy, server.round, [], "the held-out loss is not finite")
@@ -240,26 +243,23 @@ def run_round(
             ]
             raise DivergenceError(strategy, t + 1, diverged) from exc
         loss = evaluate(server.base, held_out, train_cfg.loss)
-    traffic = charge_round(server.ledger, strategy, dim, [(c.client_id, c.rank) for c in clients], t)
-    return _close_round(server, strategy, loss, noise, traffic)
+    return _close_round(server, strategy, [(c.client_id, c.rank) for c in clients], loss, noise)
 
 
 @dataclass(frozen=True)
 class _World:
-    """The data of one experiment: initial base, shards, held-out batch,
-    baseline, and each round's sorted participating client ids.
+    """The data of one experiment: initial base, shards, held-out batch and
+    baseline.
 
     Nothing here changes during a run (the arrays are read-only), so one
-    world serves every strategy and scaling factor of a command, and every
-    federated strategy sees the same participants; each run draws its own
-    ServerState and ClientRuntime objects from it.
+    world serves every strategy and scaling factor of a command; each run
+    draws its own ServerState and ClientRuntime objects from it.
     """
 
     base: BaseWeights
     shards: list[ClientShard]
     held_out: Batch
     baseline: float
-    participants: list[list[int]]
 
 
 def _task_bytes(m: int, n: int, samples: int) -> int:
@@ -278,9 +278,7 @@ def _task_too_big(m: int, n: int, samples: int) -> str:
 
 
 def _build_world(config) -> _World:
-    """Task, holdout, shards, baseline loss and participation schedule from a
-    validated config. Under partial participation round t's clients are a
-    uniform draw seeded from (seed, _TAG_SAMPLING, t).
+    """Task, holdout, shards and baseline loss from a validated config.
 
     Targets are one (count, m) float matrix for either loss. A softmax
     world's class is each generated target row's argmax, one-hot encoded
@@ -304,22 +302,26 @@ def _build_world(config) -> _World:
         baseline = evaluate(task.base, held, config.loss)
     if not np.isfinite(baseline):
         raise ConfigError([f"noise_std: {config.noise_std:g} makes the baseline held-out loss non-finite"])
-    participants = [list(range(config.clients))] * config.rounds
-    if config.client_fraction < 1.0:
-        count = max(1, int(np.ceil(config.client_fraction * config.clients)))
-        seeds = (derive_seed(config.seed, _TAG_SAMPLING, t) for t in range(config.rounds))
-        participants = [
-            sorted(np.random.default_rng(s).choice(config.clients, size=count, replace=False).tolist())
-            for s in seeds
-        ]
-    return _World(task.base, shards, held, baseline, participants)
+    return _World(task.base, shards, held, baseline)
 
 
-def _run(config, strategy: str, world: _World, server: ServerState) -> Iterator[ReportRow]:
-    """Yield each round's row of one strategy, run on the given server and on
-    clients drawn from the world. Raises DivergenceError in the round that
-    diverges, which includes a held-out loss above DIVERGENCE_RATIO times the
-    baseline."""
+def _participants(config, t: int) -> list[int]:
+    """Round t's sorted client ids: every client, or under partial
+    participation a uniform draw seeded from (seed, _TAG_SAMPLING, t)."""
+    if config.client_fraction == 1.0:
+        return list(range(config.clients))
+    count = max(1, int(np.ceil(config.client_fraction * config.clients)))
+    gen = np.random.default_rng(derive_seed(config.seed, _TAG_SAMPLING, t))
+    return sorted(gen.choice(config.clients, size=count, replace=False).tolist())
+
+
+def _run(config, strategy: str, world: _World, server: ServerState) -> Generator[ReportRow, list[int], None]:
+    """Run one strategy on the given server and on clients drawn from the
+    world. Once started with ``next``, each round is sent its participating
+    client ids and yields its row; the references train every client.
+    Raises DivergenceError in the round that diverges, which includes a
+    held-out loss above DIVERGENCE_RATIO times the baseline."""
+    ids = yield
     clients = [
         ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
         for i in range(config.clients)
@@ -331,7 +333,6 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Iterator[
         loss=config.loss,
     )
     init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
-    dim = world.base.dim
     if strategy not in FEDERATED_STRATEGIES:
         # The references carry their adapters across rounds: standalone one
         # per client, centralized one of the largest rank trained on the
@@ -350,14 +351,14 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Iterator[
             seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
             prefix = (config.seed, _TAG_CENTRAL)
             learners = [(None, ClientShard(0, pool.xs, pool.ys, rows), max(config.ranks), seed, prefix)]
-        adapters = [init_adapter(dim, rank, init_policy, seed) for _, _, rank, seed, _ in learners]
+        adapters = [init_adapter(world.base.dim, rank, init_policy, seed) for _, _, rank, seed, _ in learners]
         everyone = [(c.client_id, c.rank) for c in clients]
 
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
             row = run_round(
                 server,
-                [clients[i] for i in world.participants[t]],
+                [clients[i] for i in ids],
                 strategy,
                 train_cfg,
                 world.held_out,
@@ -374,30 +375,33 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Iterator[
                 losses = [
                     evaluate(ToyModel(server.base, a), world.held_out, config.loss) for a in adapters
                 ]
-            traffic = charge_round(server.ledger, strategy, dim, everyone, t)
-            row = _close_round(server, strategy, float(np.mean(losses)), None, traffic)
+            row = _close_round(server, strategy, everyone, float(np.mean(losses)), None)
         if row.global_loss > DIVERGENCE_RATIO * world.baseline:
             ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
             what = f"the held-out loss is {ratio:.3g} times the baseline"
             raise DivergenceError(strategy, row.round, [], what)
-        yield row
+        ids = yield row
 
 
 def _compare(config, strategies: list[str], world: _World) -> ComparisonReport:
     """Advance every strategy's run round by round on its own fresh server.
 
-    A strategy that diverges stops and the others run on; then the error of
-    the first listed strategy that diverged is raised, whatever its round.
+    Round t's participants are drawn when round t begins, once for every
+    strategy. A strategy that diverges stops and the others run on; then the
+    error of the first listed strategy that diverged is raised, whatever its
+    round.
     """
-    servers = {s: ServerState(base=world.base) for s in strategies}
-    runs = {s: _run(config, s, world, servers[s]) for s in strategies}
     # A report shares its server's ledger and collects its rows as they come.
-    reports = {s: ExperimentReport(s, config.seed, world.baseline, [], servers[s].ledger) for s in strategies}
+    reports = {s: ExperimentReport(s, config.seed, world.baseline, [], CommLedger()) for s in strategies}
+    runs = {s: _run(config, s, world, ServerState(world.base, ledger=reports[s].ledger)) for s in strategies}
+    for run in runs.values():
+        next(run)
     errors: dict[str, DivergenceError] = {}
-    for _ in range(config.rounds):
+    for t in range(config.rounds):
+        ids = _participants(config, t)
         for s in [s for s in strategies if s not in errors]:
             try:
-                reports[s].rounds.append(next(runs[s]))
+                reports[s].rounds.append(runs[s].send(ids))
             except DivergenceError as exc:
                 errors[s] = exc
     if errors:
@@ -412,8 +416,8 @@ def run_comparisons(
     per client-weight factor; each factor (None, or a constant in (0, 1])
     is that comparison's scaling_override.
 
-    The config is validated and the world (task, shards, held-out set,
-    participants) built once, since the world reads no scaling field; every
+    The config is validated and the world (task, shards, held-out set)
+    built once, since the world reads no scaling field; every
     (factor, strategy) run gets its own fresh server and clients. Each
     comparison advances its strategies round by round, with the clients in
     client order within a round. BLAS runs on one thread throughout, which
@@ -422,10 +426,9 @@ def run_comparisons(
     if not strategies:
         raise ConfigError(["strategies: need at least one strategy to compare"])
     replace(config, strategies=tuple(strategies)).validate()
-    swept = [replace(config, scaling_override=f) for f in factors]
     with one_thread():
         world = _build_world(config)
-        return [_compare(c, strategies, world) for c in swept]
+        return [_compare(replace(config, scaling_override=f), strategies, world) for f in factors]
 
 
 def compare_strategies(config, strategies: list[str]) -> ComparisonReport:

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from florasim import ExperimentConfig, compare_strategies
-from florasim.simulation import FEDERATED_STRATEGIES, STRATEGIES, _build_world
+from florasim.simulation import FEDERATED_STRATEGIES, STRATEGIES, _build_world, _participants
+from test_comm import record_adds
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -105,7 +106,9 @@ def test_a_traced_run_counts_every_sgd_sample(strategies, client_fraction):
     )
     world = _build_world(config)
     training_rows = sum(shard.size for shard in world.shards)
-    participant_rows = sum(world.shards[i].size for ids in world.participants for i in ids)
+    participant_rows = sum(
+        world.shards[i].size for t in range(config.rounds) for i in _participants(config, t)
+    )
     assert training_rows == 96
     assert participant_rows == (config.rounds * training_rows if client_fraction == 1 else 3 * 2 * 32)
     tracer = tracing.Tracer()
@@ -119,6 +122,32 @@ def test_a_traced_run_counts_every_sgd_sample(strategies, client_fraction):
         participant_rows if s in FEDERATED_STRATEGIES else config.rounds * training_rows for s in strategies
     ]
     assert samples == config.epochs * sum(per_strategy)
+
+
+def test_a_traced_run_counts_every_transmission_and_parameter(monkeypatch):
+    # The traffic counters wrap CommLedger.add and read each event's
+    # direction and param_count; every transmission a round charges must
+    # pass through add once, and the ledgers' totals must be what they saw.
+    added = record_adds(monkeypatch)
+    config = ExperimentConfig(
+        m=8, n=8, clients=4, ranks=(1, 2, 3, 4), rounds=3, samples=120, teacher_rank=2, seed=5,
+        client_fraction=0.5,
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        comparison = compare_strategies(config, ["flora", "zero_padding", "standalone", "centralized"])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.absent == []
+    # Round 0 broadcasts to its 2 participants under each federated strategy,
+    # to standalone's 4 clients and to centralized's one server; then each
+    # federated strategy charges 2 participants x 3 rounds x (up, down).
+    assert metrics["comm.ledger.events"] == len(added) == 2 + 2 + 4 + 1 + 2 * 12
+    totals = sum(report.ledger.total() for report in comparison.reports.values())
+    assert metrics["comm.params_up"] + metrics["comm.params_down"] == totals
+    assert totals == sum(event.param_count for _, event in added)
 
 
 @pytest.mark.parametrize("seed", [workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED])

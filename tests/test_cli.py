@@ -512,6 +512,15 @@ class TestMain:
             "error: strategy fedit diverged in round 1: non-finite update b @ a from client(s) 8, 9\n"
         )
 
+    def test_a_runtime_failure_without_text_is_named_by_its_type(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_comparisons", out_of_memory)
+        assert main(["run", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == ("", "error: MemoryError\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_divergence_prints_only_the_error_line(self, tmp_path):
         # A fresh interpreter, so numpy warnings reach stderr as a user sees them.
         argv = ["compare", "--preset", "hetero", "--strategies", "flora,zero_padding",

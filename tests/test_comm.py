@@ -24,6 +24,25 @@ from florasim.simulation import STRATEGIES
 BIG = Dim(4096, 4096)
 
 
+def record_adds(monkeypatch):
+    """Every (ledger, event) pair ``CommLedger.add`` receives from now on,
+    in order: the hook the benchmark's traffic counters wrap."""
+    added = []
+    add = CommLedger.add
+
+    def spy(ledger, event):
+        added.append((ledger, event))
+        add(ledger, event)
+
+    monkeypatch.setattr(CommLedger, "add", spy)
+    return added
+
+
+def events_of(added, ledger):
+    """The events one ledger received, in order."""
+    return [event for owner, event in added if owner is ledger]
+
+
 def charged_ledger(strategy, dim, ranks, rounds):
     ledger = CommLedger()
     for t in range(rounds):
@@ -50,37 +69,43 @@ def closed_form_total(strategy, m, n, ranks, rounds):
 
 
 class TestChargeRound:
-    def test_large_model_download_sizes(self):
+    def test_large_model_download_sizes(self, monkeypatch):
+        added = record_adds(monkeypatch)
         ranks = [16] * 10
         flora = charged_ledger("flora", BIG, ranks, 1)
         fedit = charged_ledger("fedit", BIG, ranks, 1)
 
         def downloads(ledger, kind):
-            return {e.param_count for e in ledger.events if e.direction == "down" and e.payload_kind == kind}
+            events = events_of(added, ledger)
+            return {e.param_count for e in events if e.direction == "down" and e.payload_kind == kind}
 
         assert downloads(flora, "stacked_adapter") == {160 * 8192}
         assert 160 * 8192 == 1_310_720
         assert downloads(fedit, "adapter") == {131_072}
 
-    def test_upload_is_strategy_independent(self):
+    def test_upload_is_strategy_independent(self, monkeypatch):
+        added = record_adds(monkeypatch)
         ranks = [64, 32, 16, 16, 8, 8, 4, 4, 4, 4]
         flora = charged_ledger("flora", BIG, ranks, 1)
         padded = charged_ledger("zero_padding", BIG, ranks, 1)
 
         def uploads(ledger):
-            return sorted(e.param_count for e in ledger.events if e.direction == "up")
+            return sorted(e.param_count for e in events_of(added, ledger) if e.direction == "up")
 
         assert uploads(flora) == uploads(padded) == sorted(r * 8192 for r in ranks)
+        assert flora.round_totals(0)[0] == padded.round_totals(0)[0] == sum(ranks) * 8192
 
     def test_adapter_is_small_fraction_of_dense_model(self):
         upload = 16 * (4096 + 4096)
         assert upload / (4096 * 4096) == trainable_fraction(BIG, 16) == 0.0078125
 
-    def test_round_zero_broadcast_once(self):
+    def test_round_zero_broadcast_once(self, monkeypatch):
+        added = record_adds(monkeypatch)
         ledger = charged_ledger("fedit", Dim(8, 8), [2, 2], 3)
-        broadcasts = [e for e in ledger.events if e.payload_kind == "full_model"]
+        broadcasts = [e for e in events_of(added, ledger) if e.payload_kind == "full_model"]
         assert len(broadcasts) == 2
         assert all(e.round == 0 and e.param_count == 64 for e in broadcasts)
+        assert all(e.party == "broadcast" and e.direction == "down" for e in broadcasts)
 
     def test_rejects_bad_arguments(self):
         ledger = CommLedger()
@@ -88,6 +113,37 @@ class TestChargeRound:
             charge_round(ledger, "flora", Dim(4, 4), [(0, 1), (1, 0)], 0)
         with pytest.raises(ValueError):
             charge_round(ledger, "warp", Dim(4, 4), [(0, 1)], 0)
+        with pytest.raises(ValueError, match="round and param_count must be >= 0"):
+            charge_round(ledger, "flora", Dim(4, 4), [(0, 1)], -1)
+        assert ledger == CommLedger()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("round_index", [0, 2])
+    def test_a_round_without_participants_is_refused_before_any_charge(
+        self, monkeypatch, strategy, round_index
+    ):
+        added = record_adds(monkeypatch)
+        ledger = CommLedger()
+        with pytest.raises(ValueError) as err:
+            charge_round(ledger, strategy, Dim(4, 4), [], round_index)
+        assert str(err.value) == f"round {round_index} has no participants to charge"
+        assert added == [] and ledger == CommLedger()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_charges_each_transmission_once(self, monkeypatch, strategy):
+        # Per round, one add per upload and one per download of each
+        # participant; round 0 adds one per receiver of the broadcast.
+        added = record_adds(monkeypatch)
+        ranks = [1] if strategy == "fedit" else [1, 3]
+        ledger = charged_ledger(strategy, Dim(4, 6), ranks, 3)
+        events = events_of(added, ledger)
+        receivers = 1 if strategy == "centralized" else len(ranks)
+        adapter_events = 0 if strategy in ("standalone", "centralized") else 3 * 2 * len(ranks)
+        assert len(events) == len(added) == receivers + adapter_events
+        for t in range(3):
+            for d, direction in enumerate(("up", "down")):
+                charged = sum(e.param_count for e in events if e.round == t and e.direction == direction)
+                assert ledger.round_totals(t)[d] == charged
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding", "standalone"])
     def test_matches_independent_closed_form(self, strategy):
@@ -149,6 +205,21 @@ class TestCommLedger:
         assert ledger.round_totals(0) == (0, receivers * dim.m * dim.n)
         assert ledger.round_totals(1) == ledger.round_totals(2) == (0, 0)
 
+    @pytest.mark.parametrize("k", [1, 50])
+    def test_holds_one_up_and_one_down_total_per_round(self, k):
+        # However many clients a round charges, the ledger keeps two numbers
+        # for it: 2 * (8 + 6) up per client, and the stacked 2k * 14 down.
+        ledger = charged_ledger("flora", Dim(8, 6), [2] * k, 3)
+        stacked = k * 2 * k * 14
+        assert ledger == CommLedger(up=[28 * k] * 3, down=[k * 48 + stacked, stacked, stacked])
+
+    def test_rounds_may_be_charged_in_any_order(self):
+        ledger = CommLedger()
+        charge_round(ledger, "flora", Dim(8, 6), [(0, 2)], 2)
+        charge_round(ledger, "flora", Dim(8, 6), [(0, 2)], 0)
+        assert [ledger.round_totals(t) for t in (-1, 0, 1, 2, 3)] == [(0, 0), (28, 76), (0, 0), (28, 28), (0, 0)]
+        assert ledger.total() == 28 + 76 + 28 + 28
+
 
 class TestCommEvent:
     def test_event_validation(self):
@@ -158,6 +229,8 @@ class TestCommEvent:
             CommEvent(0, "up", 0, -1, "adapter")
         with pytest.raises(ValueError):
             CommEvent(0, "up", 0, 1, "pigeon")
+        with pytest.raises(ValueError):
+            CommEvent(-1, "up", 0, 1, "adapter")
 
 
 SAMPLE_ROWS = [

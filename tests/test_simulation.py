@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import florasim.simulation as simulation
 from florasim import (
     BaseWeights,
+    CommLedger,
     ConfigError,
     DivergenceError,
     ExperimentConfig,
@@ -21,7 +25,7 @@ from florasim import (
     run_experiment,
     run_round,
 )
-from florasim.comm import emit_rows
+from florasim.comm import ReportRow, emit_rows
 from florasim.config import parse_config
 from florasim.data import scaling_factors
 from florasim.lora import InitPolicy, init_adapter
@@ -36,6 +40,7 @@ from florasim.simulation import (
 )
 from florasim.training import ToyModel, TrainConfig, evaluate, local_train
 from test_aggregation import hand_padded
+from test_comm import events_of, record_adds
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -197,7 +202,7 @@ class TestRunRound:
         with pytest.raises(ConfigError) as err:
             run_round(server, clients, strategy, TrainConfig(), eval_set)
         assert err.value.problems == [f"strategy: {strategy!r} cannot drive a federated round"]
-        assert server.round == 0 and server.ledger.events == []
+        assert server.round == 0 and server.ledger == CommLedger()
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
     def test_a_round_without_clients_is_refused_before_the_rank_check(self, strategy):
@@ -205,7 +210,7 @@ class TestRunRound:
         with pytest.raises(ConfigError) as err:
             run_round(server, [], strategy, TrainConfig(), eval_set)
         assert err.value.problems == ["clients: a round needs at least one client"]
-        assert server.round == 0 and server.ledger.events == []
+        assert server.round == 0 and server.ledger == CommLedger()
 
     @pytest.mark.parametrize("strategy", ["fedit", "zero_padding"])
     def test_client_updates_that_overflow_under_a_finite_average_name_the_clients(
@@ -240,7 +245,7 @@ class TestRunRound:
         with pytest.raises(ConfigError):
             run_round(server, clients, "fedit", TrainConfig(), eval_set)
         assert server.round == before
-        assert server.ledger.events == []
+        assert server.ledger == CommLedger()
 
     def test_noise_metric_only_for_averaging_strategies(self):
         for strategy, expect_noise in (("flora", False), ("fedit", True), ("zero_padding", True)):
@@ -312,28 +317,32 @@ class TestRunExperiment:
         baseline = comparison.reports["flora"].baseline_loss
         assert comparison.final_losses() == {"flora": baseline, "standalone": baseline}
 
-    def test_standalone_runs_without_aggregation(self):
+    def test_standalone_runs_without_aggregation(self, monkeypatch):
+        added = record_adds(monkeypatch)
         report = run_experiment(with_overrides(SMALL, strategy="standalone"))
         assert len(report.rounds) == 2
-        uploads = [e for e in report.ledger.events if e.direction == "up"]
+        uploads = [e for e in events_of(added, report.ledger) if e.direction == "up"]
         assert uploads == []
 
-    def test_centralized_trains_pooled_adapter(self):
+    def test_centralized_trains_pooled_adapter(self, monkeypatch):
+        added = record_adds(monkeypatch)
         report = run_experiment(with_overrides(SMALL, strategy="centralized"))
         assert len(report.rounds) == 2
-        broadcast = [e for e in report.ledger.events if e.party == "broadcast"]
+        broadcast = [e for e in events_of(added, report.ledger) if e.party == "broadcast"]
         assert len(broadcast) == 1
 
-    def test_client_sampling_hook(self):
+    def test_client_sampling_hook(self, monkeypatch):
+        added = record_adds(monkeypatch)
         report = run_experiment(with_overrides(SMALL, client_fraction=0.5, clients=4, ranks=(2, 2, 2, 2)))
+        events = events_of(added, report.ledger)
         per_round_uploads = {
-            t: len([e for e in report.ledger.events if e.round == t and e.direction == "up"])
-            for t in range(2)
+            t: len([e for e in events if e.round == t and e.direction == "up"]) for t in range(2)
         }
         assert all(count == 2 for count in per_round_uploads.values())
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
-    def test_upload_parties_are_the_rounds_participants(self, strategy):
+    def test_upload_parties_are_the_rounds_participants(self, monkeypatch, strategy):
+        added = record_adds(monkeypatch)
         config = with_overrides(
             SMALL, strategy=strategy, client_fraction=0.3, clients=10, ranks=(2,) * 10, samples=400, rounds=3
         )
@@ -346,10 +355,11 @@ class TestRunExperiment:
             for t in range(config.rounds)
         ]
         assert len({tuple(ids) for ids in drawn}) > 1
-        assert _build_world(config).participants == drawn
+        assert [simulation._participants(config, t) for t in range(config.rounds)] == drawn
+        events = events_of(added, report.ledger)
         for t, ids in enumerate(drawn):
             for direction in ("up", "down"):
-                parties = [e.party for e in report.ledger.events if e.round == t and e.direction == direction]
+                parties = [e.party for e in events if e.round == t and e.direction == direction]
                 parties = [p for p in parties if p != "broadcast"]
                 assert parties == ids
 
@@ -582,13 +592,15 @@ class TestCompare:
         compare_strategies(with_overrides(SMALL, rounds=3), strategies)
         assert calls == [(s, t) for t in range(3) for s in strategies]
 
-    def test_a_strategy_reports_the_same_rows_alone_or_among_others(self):
+    def test_a_strategy_reports_the_same_rows_alone_or_among_others(self, monkeypatch):
+        added = record_adds(monkeypatch)
         config = with_overrides(SMALL, rounds=3, client_fraction=0.5)
         together = compare_strategies(config, list(simulation.STRATEGIES))
         for s in simulation.STRATEGIES:
             alone = run_experiment(with_overrides(config, strategy=s))
             assert together.reports[s].rounds == alone.rounds
-            assert together.reports[s].ledger.events == alone.ledger.events
+            assert together.reports[s].ledger == alone.ledger
+            assert events_of(added, together.reports[s].ledger) == events_of(added, alone.ledger)
 
     @pytest.mark.parametrize(
         "failing, reported",
@@ -646,4 +658,53 @@ class TestServerClientState:
     def test_server_state_defaults(self):
         server = ServerState(base=BaseWeights(np.eye(2)))
         assert server.round == 0
-        assert server.ledger.events == []
+        assert server.ledger == CommLedger()
+
+
+class TestRunMemory:
+    def test_a_longer_run_keeps_little_more_than_its_extra_report_rows(self):
+        # What a comparison of 10N rounds keeps beyond one of N rounds is its
+        # extra report rows and the ledgers' totals of the extra rounds: at
+        # most a quarter more than those rows take on their own.
+        config = with_overrides(
+            SMALL, m=4, n=4, clients=4, ranks=(1,) * 4, teacher_rank=1, samples=80, client_fraction=0.5
+        )
+        strategies, rounds = ["flora", "zero_padding"], 30
+
+        def kept(count):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                comparison = compare_strategies(replace(config, rounds=count), strategies)
+                # CPython's type attribute cache keeps a reference to each
+                # attribute name a run looked up, and numpy's flags setter
+                # looks up a new "setflags" string per call; without the
+                # clear, up to some 30 KB of them would count as kept.
+                gc.collect()
+                sys._clear_type_cache()
+                return comparison, tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        def copy(row):
+            # New objects throughout, as a round builds its row: one float
+            # shared by both loss columns.
+            loss = row.global_loss * 1.0
+            noise = None if row.relative_noise is None else row.relative_noise * 1.0
+            numbers = [int(str(value)) for value in (row.round, row.params_up_total, row.params_down_total)]
+            return ReportRow(numbers[0], row.strategy, loss, loss, noise, *numbers[1:])
+
+        compare_strategies(replace(config, rounds=2), strategies)  # one-time allocations, untraced
+        _, short = kept(rounds)
+        comparison, long = kept(10 * rounds)
+        extra = [row for report in comparison.reports.values() for row in report.rounds if row.round > rounds]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = [copy(row) for row in extra]
+            rows_size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == extra and len(rows) == 2 * 9 * rounds
+        assert long - short <= 1.25 * rows_size, (long - short) / rows_size
