@@ -43,7 +43,6 @@ from .lora import (
     trainable_fraction,
 )
 from .simulation import (
-    ClientRuntime,
     ServerState,
     compare_strategies,
     run_experiment,
@@ -56,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseWeights",
     "Batch",
-    "ClientRuntime",
     "ClientShard",
     "CommEvent",
     "CommLedger",

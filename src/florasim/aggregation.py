@@ -193,7 +193,8 @@ def fedit_noise(updates: list[WeightedUpdate], averaged: np.ndarray | None = Non
         relative = float("inf")
     else:
         relative = cross_norm / oracle_norm
-    signal.flags.writeable = cross.flags.writeable = False
+    signal.setflags(write=False)
+    cross.setflags(write=False)
     return NoiseReport(signal=signal, cross=cross, relative_noise=relative)
 
 

@@ -97,7 +97,7 @@ class GlobalTask:
     def __post_init__(self) -> None:
         for name in ("teacher", "xs", "ys"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -133,7 +133,7 @@ class ClientShard:
         if rows.min() < 0 or rows.max() >= len(xs):
             raise ValueError(f"shard rows must index a pool of {len(xs)} samples")
         for arr in (xs, ys, rows):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "rows", rows)

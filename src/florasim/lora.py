@@ -41,7 +41,7 @@ def _frozen_matrix(arr: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a 2-d matrix, got ndim={out.ndim}")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must have finite entries")
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -81,8 +81,8 @@ class LoraAdapter:
         once). Anything else goes through ``LoraAdapter(a, b)``, which copies
         and validates.
         """
-        a.flags.writeable = False
-        b.flags.writeable = False
+        a.setflags(write=False)
+        b.setflags(write=False)
         adapter = object.__new__(cls)
         object.__setattr__(adapter, "a", a)
         object.__setattr__(adapter, "b", b)

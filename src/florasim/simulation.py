@@ -1,16 +1,16 @@
 """The federated round protocol over simulated clients.
 
-One round: every client draws a fresh zero-update adapter, fine-tunes it on
-its shard, and uploads it; the server aggregates the uploads under the chosen
+One round: every participant trains a fresh zero-update adapter on its
+shard and uploads it; the server aggregates the uploads under the chosen
 strategy and merges the aggregate update into the global weights with
 coefficient one; the averaging strategies' noise is split from that same
-aggregate. ``run_round`` does all of it itself: it trains the participants,
-weights their uploads, aggregates, merges, splits the noise, evaluates and
-charges the round. Redistribution is implicit: every client trains from the
-server's current base, which is numerically identical to shipping the
-stacked factors and multiplying locally, while the ledger charges the
-protocol-accurate stacked sizes, so communication totals match the real wire
-exchange.
+aggregate. ``run_round`` is given the round's training jobs, one per
+participant, and does the rest itself: it trains the jobs, weights their
+uploads, aggregates, merges, splits the noise, evaluates and charges the
+round. Redistribution is implicit: every client trains from the server's
+current base, which is numerically identical to shipping the stacked factors
+and multiplying locally, while the ledger charges the protocol-accurate
+stacked sizes, so communication totals match the real wire exchange.
 
 The standalone and centralized references run the same round: they train
 their carried adapters (one per client, or one on the pooled data) from the
@@ -22,17 +22,18 @@ A comparison advances its strategies round by round: round t of every
 strategy, in the listed order, comes before round t + 1 of any, and within a
 round the clients train one after another in client order. All randomness
 is derived per (experiment seed, client, round), and strategies share only
-the read-only world, so a client's adapter does not depend on which clients
-or strategies trained before it. Under partial participation a comparison
-draws round t's clients when round t begins, once for all its strategies,
-so every federated strategy of a comparison trains the same clients in the
-same round.
+the read-only world and jobs, so a client's adapter does not depend on which
+clients or strategies trained before it. When round t begins a comparison
+draws its participants and builds their jobs (client id, shard, fresh
+adapter, train seed) once, and sends the same jobs to every federated
+strategy: each trains the same clients from the same fresh adapters.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass, field, replace
+from math import ceil
 
 import numpy as np
 
@@ -89,19 +90,6 @@ class ServerState:
     ledger: CommLedger = field(default_factory=CommLedger)
 
 
-@dataclass
-class ClientRuntime:
-    """One simulated client: shard, adapter rank and seed root.
-
-    A client holds no weights of its own; it trains from the server's base.
-    """
-
-    client_id: int
-    shard: ClientShard
-    rank: int
-    seed: int
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """Baseline loss plus the report row of every round of one strategy run.
@@ -140,16 +128,14 @@ class ComparisonReport:
         return [row for s in self.strategies for row in self.reports[s].to_rows()]
 
 
-def _train(
-    server: ServerState,
-    strategy: str,
-    train_cfg: TrainConfig,
-    jobs: Iterable[tuple[int | None, ClientShard, LoraAdapter, int]],
-) -> list[LoraAdapter]:
-    """Locally train (client id, shard, starting adapter, seed) jobs from the
-    server's base, in order; the centralized reference's pooled job has no
-    client id. Raises DivergenceError naming every job whose local SGD diverged.
-    """
+# A training job: (client id, shard, starting adapter, train seed). The
+# centralized reference's pooled job has no client id.
+Job = tuple[int | None, ClientShard, LoraAdapter, int]
+
+
+def _train(server: ServerState, strategy: str, train_cfg: TrainConfig, jobs: list[Job]) -> list[LoraAdapter]:
+    """Locally train the jobs from the server's base, in order. Raises
+    DivergenceError naming every job whose local SGD diverged."""
     trained, diverged = [], []
     for client_id, shard, adapter, seed in jobs:
         try:
@@ -183,42 +169,31 @@ def _close_round(
 
 def run_round(
     server: ServerState,
-    clients: list[ClientRuntime],
+    jobs: list[Job],
     strategy: str,
     train_cfg: TrainConfig,
     held_out: Batch,
     *,
-    init_policy: InitPolicy = InitPolicy(),
     scaling_override: float | None = None,
 ) -> ReportRow:
-    """Execute one federated round and return its report row."""
+    """Execute one federated round on the participants' training jobs, in
+    order, and return its report row. The jobs' fresh adapters give the
+    ranks, their client ids the parties and their shards the weights."""
     if strategy not in FEDERATED_STRATEGIES:
         raise ConfigError([f"strategy: {strategy!r} cannot drive a federated round"])
-    if not clients:
+    if not jobs:
         raise ConfigError(["clients: a round needs at least one client"])
-    ranks = [c.rank for c in clients]
-    if strategy == "fedit" and len(set(ranks)) != 1:
-        raise ConfigError(
-            [f"strategy: fedit requires homogeneous ranks, got {sorted(set(ranks))}"]
-        )
+    parties = [(i, adapter.rank) for i, _, adapter, _ in jobs]
+    ranks = sorted({rank for _, rank in parties})
+    if strategy == "fedit" and len(ranks) != 1:
+        raise ConfigError([f"strategy: fedit requires homogeneous ranks, got {ranks}"])
 
-    t, dim = server.round, server.base.dim
-    # Generated lazily, so each fresh adapter is made just before its client trains.
-    jobs = (
-        (
-            c.client_id,
-            c.shard,
-            init_adapter(dim, c.rank, init_policy, derive_seed(c.seed, t, _TAG_INIT)),
-            derive_seed(c.seed, t, _TAG_TRAIN),
-        )
-        for c in clients
-    )
     with np.errstate(**_QUIET):
         adapters = _train(server, strategy, train_cfg, jobs)
         if scaling_override is not None:
-            weights = [scaling_override] * len(clients)
+            weights = [scaling_override] * len(jobs)
         else:
-            weights = scaling_factors([c.shard for c in clients])
+            weights = scaling_factors([shard for _, shard, _, _ in jobs])
         updates = [WeightedUpdate(a, w) for a, w in zip(adapters, weights)]
 
         try:
@@ -237,29 +212,29 @@ def run_round(
             # overflow); the per-client updates are formed again only on
             # this path.
             diverged = [
-                c.client_id
-                for c, u in zip(clients, updates)
-                if not np.isfinite(adapter_delta(u.adapter)).all()
+                i for (i, _), u in zip(parties, updates) if not np.isfinite(adapter_delta(u.adapter)).all()
             ]
-            raise DivergenceError(strategy, t + 1, diverged) from exc
+            raise DivergenceError(strategy, server.round + 1, diverged) from exc
         loss = evaluate(server.base, held_out, train_cfg.loss)
-    return _close_round(server, strategy, [(c.client_id, c.rank) for c in clients], loss, noise)
+    return _close_round(server, strategy, parties, loss, noise)
 
 
 @dataclass(frozen=True)
 class _World:
-    """The data of one experiment: initial base, shards, held-out batch and
-    baseline.
+    """The data of one experiment: initial base, shards, held-out batch,
+    baseline and each client's seed root, ``derive_seed(seed, i)``.
 
     Nothing here changes during a run (the arrays are read-only), so one
     world serves every strategy and scaling factor of a command; each run
-    draws its own ServerState and ClientRuntime objects from it.
+    gets its own ServerState, and each round's jobs are built from the world
+    (``_round_jobs``).
     """
 
     base: BaseWeights
     shards: list[ClientShard]
     held_out: Batch
     baseline: float
+    roots: list[int]
 
 
 def _task_bytes(m: int, n: int, samples: int) -> int:
@@ -302,37 +277,55 @@ def _build_world(config) -> _World:
         baseline = evaluate(task.base, held, config.loss)
     if not np.isfinite(baseline):
         raise ConfigError([f"noise_std: {config.noise_std:g} makes the baseline held-out loss non-finite"])
-    return _World(task.base, shards, held, baseline)
+    roots = [derive_seed(config.seed, i) for i in range(config.clients)]
+    return _World(task.base, shards, held, baseline, roots)
 
 
 def _participants(config, t: int) -> list[int]:
     """Round t's sorted client ids: every client, or under partial
-    participation a uniform draw seeded from (seed, _TAG_SAMPLING, t)."""
+    participation a uniform draw seeded from (seed, _TAG_SAMPLING, t) of
+    ceil(client_fraction * clients) of them, counted on the fraction's
+    decimal form, so 0.07 of 100 clients is 7."""
     if config.client_fraction == 1.0:
         return list(range(config.clients))
-    count = max(1, int(np.ceil(config.client_fraction * config.clients)))
+    # Imported only here: fractions imports decimal, which would add some
+    # 2 ms and 0.4 MB to the start-up of every run.
+    from fractions import Fraction
+
+    count = ceil(Fraction(str(config.client_fraction)) * config.clients)
     gen = np.random.default_rng(derive_seed(config.seed, _TAG_SAMPLING, t))
     return sorted(gen.choice(config.clients, size=count, replace=False).tolist())
 
 
-def _run(config, strategy: str, world: _World, server: ServerState) -> Generator[ReportRow, list[int], None]:
-    """Run one strategy on the given server and on clients drawn from the
-    world. Once started with ``next``, each round is sent its participating
-    client ids and yields its row; the references train every client.
-    Raises DivergenceError in the round that diverges, which includes a
-    held-out loss above DIVERGENCE_RATIO times the baseline."""
-    ids = yield
-    clients = [
-        ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
-        for i in range(config.clients)
+def _round_jobs(config, world: _World, t: int) -> list[Job]:
+    """Round t's training job of each participant, in client order: its
+    shard, a fresh adapter drawn from (root, t, _TAG_INIT) and the train seed
+    (root, t, _TAG_TRAIN)."""
+    policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
+    return [
+        (
+            i,
+            world.shards[i],
+            init_adapter(world.base.dim, config.ranks[i], policy, derive_seed(world.roots[i], t, _TAG_INIT)),
+            derive_seed(world.roots[i], t, _TAG_TRAIN),
+        )
+        for i in _participants(config, t)
     ]
+
+
+def _run(config, strategy: str, world: _World, server: ServerState) -> Generator[ReportRow, list[Job] | None, None]:
+    """Run one strategy on the given server over the world. Once started
+    with ``next``, each round of a federated strategy is sent that round's
+    jobs and yields its row; the references are sent nothing and train
+    every client. Raises DivergenceError in the round that diverges, which
+    includes a held-out loss above DIVERGENCE_RATIO times the baseline."""
+    jobs = yield
     train_cfg = TrainConfig(
         learning_rate=config.lr,
         batch_size=config.batch_size,
         local_epochs=config.epochs,
         loss=config.loss,
     )
-    init_policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
     if strategy not in FEDERATED_STRATEGIES:
         # The references carry their adapters across rounds: standalone one
         # per client, centralized one of the largest rank trained on the
@@ -340,8 +333,8 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Generator
         # shard, rank, init seed, train-seed prefix).
         if strategy == "standalone":
             learners = [
-                (c.client_id, c.shard, c.rank, derive_seed(c.seed, 0, _TAG_INIT), (c.seed,))
-                for c in clients
+                (i, world.shards[i], config.ranks[i], derive_seed(root, 0, _TAG_INIT), (root,))
+                for i, root in enumerate(world.roots)
             ]
         else:
             # Every shard indexes the one training pool; the pooled shard
@@ -351,19 +344,14 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Generator
             seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
             prefix = (config.seed, _TAG_CENTRAL)
             learners = [(None, ClientShard(0, pool.xs, pool.ys, rows), max(config.ranks), seed, prefix)]
-        adapters = [init_adapter(world.base.dim, rank, init_policy, seed) for _, _, rank, seed, _ in learners]
-        everyone = [(c.client_id, c.rank) for c in clients]
+        policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
+        adapters = [init_adapter(world.base.dim, rank, policy, seed) for _, _, rank, seed, _ in learners]
+        everyone = list(enumerate(config.ranks))
 
     for t in range(config.rounds):
         if strategy in FEDERATED_STRATEGIES:
             row = run_round(
-                server,
-                [clients[i] for i in ids],
-                strategy,
-                train_cfg,
-                world.held_out,
-                init_policy=init_policy,
-                scaling_override=config.scaling_override,
+                server, jobs, strategy, train_cfg, world.held_out, scaling_override=config.scaling_override
             )
         else:
             jobs = [
@@ -380,16 +368,17 @@ def _run(config, strategy: str, world: _World, server: ServerState) -> Generator
             ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
             what = f"the held-out loss is {ratio:.3g} times the baseline"
             raise DivergenceError(strategy, row.round, [], what)
-        ids = yield row
+        jobs = yield row
 
 
 def _compare(config, strategies: list[str], world: _World) -> ComparisonReport:
     """Advance every strategy's run round by round on its own fresh server.
 
-    Round t's participants are drawn when round t begins, once for every
-    strategy. A strategy that diverges stops and the others run on; then the
-    error of the first listed strategy that diverged is raised, whatever its
-    round.
+    When round t begins, its participants are drawn and their jobs built
+    once, and every federated strategy is sent the same jobs; no jobs are
+    built for a round in which no federated strategy runs. A strategy that
+    diverges stops and the others run on; then the error of the first
+    listed strategy that diverged is raised, whatever its round.
     """
     # A report shares its server's ledger and collects its rows as they come.
     reports = {s: ExperimentReport(s, config.seed, world.baseline, [], CommLedger()) for s in strategies}
@@ -398,10 +387,11 @@ def _compare(config, strategies: list[str], world: _World) -> ComparisonReport:
         next(run)
     errors: dict[str, DivergenceError] = {}
     for t in range(config.rounds):
-        ids = _participants(config, t)
-        for s in [s for s in strategies if s not in errors]:
+        running = [s for s in strategies if s not in errors]
+        jobs = _round_jobs(config, world, t) if set(running) & set(FEDERATED_STRATEGIES) else None
+        for s in running:
             try:
-                reports[s].rounds.append(runs[s].send(ids))
+                reports[s].rounds.append(runs[s].send(jobs))
             except DivergenceError as exc:
                 errors[s] = exc
     if errors:
@@ -418,9 +408,9 @@ def run_comparisons(
 
     The config is validated and the world (task, shards, held-out set)
     built once, since the world reads no scaling field; every
-    (factor, strategy) run gets its own fresh server and clients. Each
-    comparison advances its strategies round by round, with the clients in
-    client order within a round. BLAS runs on one thread throughout, which
+    (factor, strategy) run gets its own fresh server. Each comparison
+    advances its strategies round by round, with the clients in client
+    order within a round. BLAS runs on one thread throughout, which
     saves CPU time; the reports do not depend on the thread count either way.
     """
     if not strategies:

@@ -33,10 +33,10 @@ from florasim.rng import derive_seed
 from florasim.simulation import (
     _TAG_INIT,
     _TAG_TRAIN,
-    ClientRuntime,
     ComparisonReport,
     ServerState,
     _build_world,
+    _round_jobs,
 )
 from florasim.training import ToyModel, TrainConfig, evaluate, local_train
 from test_aggregation import hand_padded
@@ -64,23 +64,20 @@ def with_overrides(config, **kwargs):
 
 
 def fresh_world(config):
-    """A new server and clients over the config's world, built as a run builds them."""
+    """A new server over the config's world, with round 0's jobs built as a
+    comparison builds them."""
     world = _build_world(config)
-    clients = [
-        ClientRuntime(i, world.shards[i], config.ranks[i], derive_seed(config.seed, i))
-        for i in range(config.clients)
-    ]
-    return ServerState(base=world.base), clients, world.held_out
+    return ServerState(base=world.base), _round_jobs(config, world, 0), world.held_out
 
 
-def first_round_uploads(server, clients, cfg, policy):
-    """Every client's round-0 upload, derived independently of run_round."""
-    uploads = []
-    for c in clients:
-        adapter = init_adapter(server.base.dim, c.rank, policy, derive_seed(c.seed, 0, _TAG_INIT))
-        train_seed = derive_seed(c.seed, 0, _TAG_TRAIN)
-        uploads.append(local_train(ToyModel(server.base, adapter), c.shard, cfg, train_seed))
-    return uploads
+def first_round_uploads(server, jobs, cfg):
+    """Every job's upload, trained here independently of run_round."""
+    return [local_train(ToyModel(server.base, adapter), shard, cfg, seed) for _, shard, adapter, seed in jobs]
+
+
+def shards_of(jobs):
+    """The jobs' shards, in job order."""
+    return [shard for _, shard, _, _ in jobs]
 
 
 def recording_train(monkeypatch, failing=None, raised=None):
@@ -115,9 +112,9 @@ def merge_fixed_uploads(monkeypatch, strategy, base, uploads):
     config = ExperimentConfig(
         m=2, n=2, clients=len(uploads), ranks=tuple(u.rank for u in uploads), samples=40, teacher_rank=1
     )
-    _, clients, eval_set = fresh_world(config)
+    _, jobs, eval_set = fresh_world(config)
     server = ServerState(base=base)
-    run_round(server, clients, strategy, TrainConfig(), eval_set, scaling_override=0.5)
+    run_round(server, jobs, strategy, TrainConfig(), eval_set, scaling_override=0.5)
     return server
 
 
@@ -126,8 +123,8 @@ class TestRunRound:
         results = {}
         for strategy in ("flora", "fedit", "zero_padding"):
             config = with_overrides(SMALL, clients=1, ranks=(2,), strategy=strategy)
-            server, clients, eval_set = fresh_world(config)
-            run_round(server, clients, strategy, TrainConfig(), eval_set)
+            server, jobs, eval_set = fresh_world(config)
+            run_round(server, jobs, strategy, TrainConfig(), eval_set)
             results[strategy] = server.base.w
         for strategy in ("fedit", "zero_padding"):
             gap = np.abs(results[strategy] - results["flora"]).max()
@@ -136,38 +133,32 @@ class TestRunRound:
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
     def test_zero_learning_rate_leaves_weights(self, strategy):
         config = with_overrides(SMALL, strategy=strategy, lr=0.0)
-        server, clients, eval_set = fresh_world(config)
+        server, jobs, eval_set = fresh_world(config)
         before = server.base.w.tobytes()
-        run_round(server, clients, strategy, TrainConfig(learning_rate=0.0), eval_set)
+        run_round(server, jobs, strategy, TrainConfig(learning_rate=0.0), eval_set)
         assert server.base.w.tobytes() == before
 
     def test_flora_round_merges_exact_weighted_sum(self):
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         cfg = TrainConfig()
-        policy = InitPolicy()
-        # Reproduce the uploads through the same deterministic derivation.
-        adapters = first_round_uploads(server, clients, cfg, policy)
-        total = sum(c.shard.size for c in clients)
-        updates = [
-            WeightedUpdate(a, c.shard.size / total) for a, c in zip(adapters, clients)
-        ]
+        # Reproduce the uploads by training the same jobs.
+        adapters = first_round_uploads(server, jobs, cfg)
+        total = sum(shard.size for shard in shards_of(jobs))
+        updates = [WeightedUpdate(a, shard.size / total) for a, shard in zip(adapters, shards_of(jobs))]
         expected = server.base.w + oracle_delta(updates)
-        run_round(server, clients, "flora", cfg, eval_set, init_policy=policy)
-        k = len(clients)
+        run_round(server, jobs, "flora", cfg, eval_set)
+        k = len(jobs)
         assert np.abs(server.base.w - expected).max() <= 8 * k * EPS * max(1.0, np.abs(expected).max())
 
     def test_fedit_round_bias_decomposition(self):
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         cfg = TrainConfig()
-        policy = InitPolicy()
-        adapters = first_round_uploads(server, clients, cfg, policy)
-        total = sum(c.shard.size for c in clients)
-        updates = [
-            WeightedUpdate(a, c.shard.size / total) for a, c in zip(adapters, clients)
-        ]
+        adapters = first_round_uploads(server, jobs, cfg)
+        total = sum(shard.size for shard in shards_of(jobs))
+        updates = [WeightedUpdate(a, shard.size / total) for a, shard in zip(adapters, shards_of(jobs))]
         report = fedit_noise(updates)
         w_prev = server.base.w
-        run_round(server, clients, "fedit", cfg, eval_set, init_policy=policy)
+        run_round(server, jobs, "fedit", cfg, eval_set)
         expected = w_prev + report.signal + report.cross
         assert np.abs(server.base.w - expected).max() <= 16 * EPS * max(1.0, np.abs(expected).max())
 
@@ -198,9 +189,9 @@ class TestRunRound:
             raise AssertionError("a client trained before the strategy was checked")
 
         monkeypatch.setattr(simulation, "local_train", no_training)
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         with pytest.raises(ConfigError) as err:
-            run_round(server, clients, strategy, TrainConfig(), eval_set)
+            run_round(server, jobs, strategy, TrainConfig(), eval_set)
         assert err.value.problems == [f"strategy: {strategy!r} cannot drive a federated round"]
         assert server.round == 0 and server.ledger == CommLedger()
 
@@ -225,9 +216,9 @@ class TestRunRound:
             LoraAdapter(a=np.full((2, n), -1e200), b=np.full((m, 2), -1e200)),
         ]
         monkeypatch.setattr(simulation, "local_train", lambda model, shard, cfg, seed: uploads[shard.client_id])
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         with pytest.raises(DivergenceError) as err:
-            run_round(server, clients, strategy, TrainConfig(), eval_set, scaling_override=0.5)
+            run_round(server, jobs, strategy, TrainConfig(), eval_set, scaling_override=0.5)
         assert str(err.value) == (
             f"strategy {strategy} diverged in round 1: non-finite update b @ a from client(s) 1, 2"
         )
@@ -240,38 +231,37 @@ class TestRunRound:
 
     def test_fedit_rejects_mixed_ranks_before_training(self):
         config = with_overrides(SMALL, ranks=(1, 2, 3))
-        server, clients, eval_set = fresh_world(config)
+        server, jobs, eval_set = fresh_world(config)
         before = server.round
         with pytest.raises(ConfigError):
-            run_round(server, clients, "fedit", TrainConfig(), eval_set)
+            run_round(server, jobs, "fedit", TrainConfig(), eval_set)
         assert server.round == before
         assert server.ledger == CommLedger()
 
     def test_noise_metric_only_for_averaging_strategies(self):
         for strategy, expect_noise in (("flora", False), ("fedit", True), ("zero_padding", True)):
-            server, clients, eval_set = fresh_world(with_overrides(SMALL, strategy=strategy))
-            row = run_round(server, clients, strategy, TrainConfig(), eval_set)
+            server, jobs, eval_set = fresh_world(with_overrides(SMALL, strategy=strategy))
+            row = run_round(server, jobs, strategy, TrainConfig(), eval_set)
             assert (row.relative_noise is not None) == expect_noise
 
     def test_zero_padding_noise_is_that_of_the_hand_padded_uploads(self):
         config = with_overrides(SMALL, ranks=(1, 2, 3), strategy="zero_padding")
-        server, clients, eval_set = fresh_world(config)
-        cfg, policy = TrainConfig(), InitPolicy()
-        adapters = first_round_uploads(server, clients, cfg, policy)
-        weights = scaling_factors([c.shard for c in clients])
+        server, jobs, eval_set = fresh_world(config)
+        cfg = TrainConfig()
+        adapters = first_round_uploads(server, jobs, cfg)
+        weights = scaling_factors(shards_of(jobs))
         expected = fedit_noise(hand_padded([WeightedUpdate(a, w) for a, w in zip(adapters, weights)]))
-        row = run_round(server, clients, "zero_padding", cfg, eval_set, init_policy=policy)
+        row = run_round(server, jobs, "zero_padding", cfg, eval_set)
         assert expected.relative_noise > 0
         assert row.relative_noise == expected.relative_noise
 
     def test_scaling_override_replaces_data_weights(self):
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         cfg = TrainConfig()
-        policy = InitPolicy()
-        adapters = first_round_uploads(server, clients, cfg, policy)
+        adapters = first_round_uploads(server, jobs, cfg)
         updates = [WeightedUpdate(a, 0.05) for a in adapters]
         expected = server.base.w + oracle_delta(updates)
-        run_round(server, clients, "flora", cfg, eval_set, init_policy=policy, scaling_override=0.05)
+        run_round(server, jobs, "flora", cfg, eval_set, scaling_override=0.05)
         assert np.abs(server.base.w - expected).max() <= 24 * EPS * max(1.0, np.abs(expected).max())
 
 
@@ -491,10 +481,9 @@ class TestRunExperiment:
 
 class TestCompare:
     def test_identical_shard_bytes_across_strategies(self):
-        _, clients_a, _ = fresh_world(SMALL)
-        _, clients_b, _ = fresh_world(SMALL)
-        for lhs, rhs in zip(clients_a, clients_b):
-            a, b = lhs.shard, rhs.shard
+        _, jobs_a, _ = fresh_world(SMALL)
+        _, jobs_b, _ = fresh_world(SMALL)
+        for a, b in zip(shards_of(jobs_a), shards_of(jobs_b)):
             assert a.rows.tobytes() == b.rows.tobytes()
             assert a.xs[a.rows].tobytes() == b.xs[b.rows].tobytes()
             assert a.ys[a.rows].tobytes() == b.ys[b.rows].tobytes()
@@ -586,6 +575,57 @@ class TestCompare:
         compare_strategies(config, ["flora", "fedit", "zero_padding", "standalone", "centralized"])
         assert draws == [(config.seed, simulation._TAG_SAMPLING, t) for t in range(3)]
 
+    @pytest.mark.parametrize(
+        "fraction, clients, count",
+        [
+            # The float product of each of these is just above the count.
+            (0.07, 100, 7),
+            (0.28, 25, 7),
+            (0.55, 100, 55),
+            # The fractions the goldens, tests and workloads use.
+            (0.3, 10, 3),
+            (0.5, 3, 2),
+            (0.5, 4, 2),
+            (0.7, 10, 7),
+            # Every client, and at least one.
+            (0.95, 10, 10),
+            (1e-9, 10, 1),
+        ],
+    )
+    def test_a_round_draws_the_decimal_fraction_of_the_clients_rounded_up(self, fraction, clients, count):
+        config = with_overrides(
+            SMALL, clients=clients, ranks=(2,) * clients, samples=10 * clients, client_fraction=fraction
+        )
+        drawn = simulation._participants(config, 0)
+        assert len(drawn) == count and drawn == sorted(set(drawn))
+
+    def test_draws_each_participants_fresh_adapter_once(self, monkeypatch):
+        draws, starts = [], {}
+        init, train = simulation.init_adapter, simulation.local_train
+
+        def counted_init(*args):
+            draws.append(args)
+            return init(*args)
+
+        def recording_train(model, shard, cfg, seed):
+            starts.setdefault((shard.client_id, seed), []).append(model.adapter)
+            return train(model, shard, cfg, seed)
+
+        monkeypatch.setattr(simulation, "init_adapter", counted_init)
+        monkeypatch.setattr(simulation, "local_train", recording_train)
+        config = with_overrides(SMALL, clients=4, ranks=(2,) * 4, rounds=3, client_fraction=0.5)
+        compare_strategies(config, list(simulation.FEDERATED_STRATEGIES))
+        participants = [simulation._participants(config, t) for t in range(config.rounds)]
+        assert len(draws) == sum(len(ids) for ids in participants) == 6
+        # One key per (client, round): each train seed is its own.
+        assert len(starts) == 6
+        for adapters in starts.values():
+            assert len(adapters) == 3 and all(a is adapters[0] for a in adapters)
+        for strategy, initial in (("standalone", config.clients), ("centralized", 1)):
+            draws.clear()
+            compare_strategies(config, [strategy])
+            assert len(draws) == initial
+
     def test_advances_every_strategy_round_by_round(self, monkeypatch):
         calls = recording_train(monkeypatch)
         strategies = ["flora", "fedit", "standalone"]
@@ -644,16 +684,30 @@ class TestCompare:
 
 class TestServerClientState:
     def test_server_round_advances(self):
-        server, clients, eval_set = fresh_world(SMALL)
+        server, jobs, eval_set = fresh_world(SMALL)
         assert server.round == 0
-        run_round(server, clients, "flora", TrainConfig(), eval_set)
+        run_round(server, jobs, "flora", TrainConfig(), eval_set)
         assert server.round == 1
 
-    def test_client_runtime_holds_shard_and_rank(self):
-        _, clients, _ = fresh_world(SMALL)
-        assert [c.rank for c in clients] == [2, 2, 2]
-        assert all(isinstance(c, ClientRuntime) for c in clients)
-        assert all(c.shard.size > 0 for c in clients)
+    def test_round_jobs_hold_each_participants_shard_rank_and_table_seeds(self):
+        _, jobs, _ = fresh_world(SMALL)
+        assert [adapter.rank for _, _, adapter, _ in jobs] == [2, 2, 2]
+        assert all(isinstance(adapter, LoraAdapter) for _, _, adapter, _ in jobs)
+        assert all(shard.size > 0 for shard in shards_of(jobs))
+        config = with_overrides(SMALL, clients=4, ranks=(1, 2, 3, 4), rounds=3, client_fraction=0.5)
+        world = _build_world(config)
+        policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
+        for t in range(config.rounds):
+            jobs = _round_jobs(config, world, t)
+            assert [i for i, _, _, _ in jobs] == simulation._participants(config, t)
+            for i, shard, adapter, seed in jobs:
+                # README's derivation table: root (seed, i), fresh adapter
+                # (root, t, 0), local training (root, t, 1).
+                root = derive_seed(config.seed, i)
+                fresh = init_adapter(world.base.dim, config.ranks[i], policy, derive_seed(root, t, 0))
+                assert shard is world.shards[i] and adapter.rank == config.ranks[i]
+                assert adapter.a.tobytes() == fresh.a.tobytes() and adapter.b.tobytes() == fresh.b.tobytes()
+                assert seed == derive_seed(root, t, 1)
 
     def test_server_state_defaults(self):
         server = ServerState(base=BaseWeights(np.eye(2)))
@@ -677,10 +731,13 @@ class TestRunMemory:
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 comparison = compare_strategies(replace(config, rounds=count), strategies)
-                # CPython's type attribute cache keeps a reference to each
-                # attribute name a run looked up, and numpy's flags setter
-                # looks up a new "setflags" string per call; without the
-                # clear, up to some 30 KB of them would count as kept.
+                # CPython's type attribute cache keeps alive each name string
+                # a lookup was made with. The package freezes arrays with
+                # setflags, which builds no such string, so the clear frees
+                # nothing today; it stays so that the bound counts what the
+                # run keeps, not what the cache holds. A lookup by a fresh
+                # string per call (numpy's flags.writeable setter makes one)
+                # would otherwise count as some 30 KB kept.
                 gc.collect()
                 sys._clear_type_cache()
                 return comparison, tracemalloc.get_traced_memory()[0] - before
