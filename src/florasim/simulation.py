@@ -12,26 +12,27 @@ current base, which is numerically identical to shipping the stacked factors
 and multiplying locally, while the ledger charges the protocol-accurate
 stacked sizes, so communication totals match the real wire exchange.
 
-The standalone and centralized references run the same round: they train
-their carried adapters (one per client, or one on the pooled data) from the
-frozen initial base, and are charged, evaluated and reported by the same
-code as the federated strategies. Every round returns the one record the
-report writes for it, a ``comm.ReportRow``.
+A comparison (``_compare``) is one plain loop over rounds. It holds every
+strategy's server, and the standalone and centralized references' learners,
+and advances them round by round: round t of every strategy, in the listed
+order, comes before round t + 1 of any, and within a round the clients train
+one after another in client order. When round t begins the loop draws its
+participants and builds their jobs (client id, shard, fresh adapter, train
+seed) once, and every federated strategy's ``run_round`` trains those same
+jobs. A reference carries its learners' adapters (one per client, or one on
+the pooled data) across rounds and trains them from the frozen initial base;
+it is trained, charged and reported by the same helpers as the federated
+strategies (``_train``, ``_close_round``). Every round gives the one record
+the report writes for it, a ``comm.ReportRow``.
 
-A comparison advances its strategies round by round: round t of every
-strategy, in the listed order, comes before round t + 1 of any, and within a
-round the clients train one after another in client order. All randomness
-is derived per (experiment seed, client, round), and strategies share only
-the read-only world and jobs, so a client's adapter does not depend on which
-clients or strategies trained before it. When round t begins a comparison
-draws its participants and builds their jobs (client id, shard, fresh
-adapter, train seed) once, and sends the same jobs to every federated
-strategy: each trains the same clients from the same fresh adapters.
+All randomness is derived per (experiment seed, client, round), and
+strategies share only the read-only world and jobs, so a client's adapter
+does not depend on which clients or strategies trained before it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from math import ceil
 
@@ -225,9 +226,10 @@ class _World:
     baseline and each client's seed root, ``derive_seed(seed, i)``.
 
     Nothing here changes during a run (the arrays are read-only), so one
-    world serves every strategy and scaling factor of a command; each run
-    gets its own ServerState, and each round's jobs are built from the world
-    (``_round_jobs``).
+    world serves every strategy and scaling factor of a command. A
+    comparison gives each run its own ServerState and builds from the world
+    each round's jobs (``_round_jobs``) and the references' learners
+    (``_learners``).
     """
 
     base: BaseWeights
@@ -313,87 +315,71 @@ def _round_jobs(config, world: _World, t: int) -> list[Job]:
     ]
 
 
-def _run(config, strategy: str, world: _World, server: ServerState) -> Generator[ReportRow, list[Job] | None, None]:
-    """Run one strategy on the given server over the world. Once started
-    with ``next``, each round of a federated strategy is sent that round's
-    jobs and yields its row; the references are sent nothing and train
-    every client. Raises DivergenceError in the round that diverges, which
-    includes a held-out loss above DIVERGENCE_RATIO times the baseline."""
-    jobs = yield
-    train_cfg = TrainConfig(
-        learning_rate=config.lr,
-        batch_size=config.batch_size,
-        local_epochs=config.epochs,
-        loss=config.loss,
-    )
-    if strategy not in FEDERATED_STRATEGIES:
-        # The references carry their adapters across rounds: standalone one
-        # per client, centralized one of the largest rank trained on the
-        # pooled data, whose job has no client id. Each learner is (job id,
-        # shard, rank, init seed, train-seed prefix).
-        if strategy == "standalone":
-            learners = [
-                (i, world.shards[i], config.ranks[i], derive_seed(root, 0, _TAG_INIT), (root,))
-                for i, root in enumerate(world.roots)
-            ]
-        else:
-            # Every shard indexes the one training pool; the pooled shard
-            # takes their rows in client order.
-            pool = world.shards[0]
-            rows = np.concatenate([s.rows for s in world.shards])
-            seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
-            prefix = (config.seed, _TAG_CENTRAL)
-            learners = [(None, ClientShard(0, pool.xs, pool.ys, rows), max(config.ranks), seed, prefix)]
-        policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
-        adapters = [init_adapter(world.base.dim, rank, policy, seed) for _, _, rank, seed, _ in learners]
-        everyone = list(enumerate(config.ranks))
+# A reference's learner: (job id, shard, carried adapter, train-seed prefix);
+# round t trains it with seed derive_seed(*prefix, t, _TAG_TRAIN).
+Learner = tuple[int | None, ClientShard, LoraAdapter, tuple[int, ...]]
 
-    for t in range(config.rounds):
-        if strategy in FEDERATED_STRATEGIES:
-            row = run_round(
-                server, jobs, strategy, train_cfg, world.held_out, scaling_override=config.scaling_override
-            )
-        else:
-            jobs = [
-                (job, shard, adapter, derive_seed(*prefix, t, _TAG_TRAIN))
-                for (job, shard, _, _, prefix), adapter in zip(learners, adapters)
-            ]
-            with np.errstate(**_QUIET):
-                adapters = _train(server, strategy, train_cfg, jobs)
-                losses = [
-                    evaluate(ToyModel(server.base, a), world.held_out, config.loss) for a in adapters
-                ]
-            row = _close_round(server, strategy, everyone, float(np.mean(losses)), None)
-        if row.global_loss > DIVERGENCE_RATIO * world.baseline:
-            ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
-            what = f"the held-out loss is {ratio:.3g} times the baseline"
-            raise DivergenceError(strategy, row.round, [], what)
-        jobs = yield row
+
+def _learners(config, world: _World, strategy: str) -> list[Learner]:
+    """A reference's learners before round 0: standalone one per client,
+    drawn from its round-0 init seed (root, 0, _TAG_INIT), centralized one
+    of the largest rank on the pooled data, whose job has no client id."""
+    policy = InitPolicy(kind=config.init_kind, std_or_bound=config.init_std)
+    if strategy == "standalone":
+        return [
+            (i, shard, init_adapter(world.base.dim, rank, policy, derive_seed(root, 0, _TAG_INIT)), (root,))
+            for i, (shard, rank, root) in enumerate(zip(world.shards, config.ranks, world.roots))
+        ]
+    # Every shard indexes the one training pool; the pooled shard takes their
+    # rows in client order.
+    pool = world.shards[0]
+    pooled = ClientShard(0, pool.xs, pool.ys, np.concatenate([s.rows for s in world.shards]))
+    seed = derive_seed(config.seed, _TAG_CENTRAL, _TAG_INIT)
+    adapter = init_adapter(world.base.dim, max(config.ranks), policy, seed)
+    return [(None, pooled, adapter, (config.seed, _TAG_CENTRAL))]
 
 
 def _compare(config, strategies: list[str], world: _World) -> ComparisonReport:
-    """Advance every strategy's run round by round on its own fresh server.
+    """Run every strategy round by round, each on its own fresh server.
 
     When round t begins, its participants are drawn and their jobs built
-    once, and every federated strategy is sent the same jobs; no jobs are
-    built for a round in which no federated strategy runs. A strategy that
-    diverges stops and the others run on; then the error of the first
-    listed strategy that diverged is raised, whatever its round.
+    once, and every federated strategy trains the same jobs; no jobs are
+    built for a round in which no federated strategy runs. A reference trains
+    its learners from the frozen initial base and carries the trained
+    adapters into the next round. A round diverges when it raises
+    DivergenceError or its held-out loss is above DIVERGENCE_RATIO times the
+    baseline; that strategy stops and the others run on, and after the last
+    round the error of the first listed strategy that diverged is raised.
     """
+    cfg = TrainConfig(config.lr, config.batch_size, config.epochs, config.loss)
     # A report shares its server's ledger and collects its rows as they come.
     reports = {s: ExperimentReport(s, config.seed, world.baseline, [], CommLedger()) for s in strategies}
-    runs = {s: _run(config, s, world, ServerState(world.base, ledger=reports[s].ledger)) for s in strategies}
-    for run in runs.values():
-        next(run)
+    servers = {s: ServerState(world.base, ledger=reports[s].ledger) for s in strategies}
+    learners = {s: _learners(config, world, s) for s in strategies if s not in FEDERATED_STRATEGIES}
+    everyone = list(enumerate(config.ranks))
     errors: dict[str, DivergenceError] = {}
     for t in range(config.rounds):
         running = [s for s in strategies if s not in errors]
         jobs = _round_jobs(config, world, t) if set(running) & set(FEDERATED_STRATEGIES) else None
         for s in running:
+            server = servers[s]
             try:
-                reports[s].rounds.append(runs[s].send(jobs))
+                if s in FEDERATED_STRATEGIES:
+                    row = run_round(server, jobs, s, cfg, world.held_out, scaling_override=config.scaling_override)
+                else:
+                    own = [(i, shard, a, derive_seed(*pre, t, _TAG_TRAIN)) for i, shard, a, pre in learners[s]]
+                    with np.errstate(**_QUIET):
+                        adapters = _train(server, s, cfg, own)
+                        losses = [evaluate(ToyModel(server.base, a), world.held_out, config.loss) for a in adapters]
+                    learners[s] = [(i, shard, a, pre) for (i, shard, _, pre), a in zip(learners[s], adapters)]
+                    row = _close_round(server, s, everyone, float(np.mean(losses)), None)
+                if row.global_loss > DIVERGENCE_RATIO * world.baseline:
+                    ratio = row.global_loss / world.baseline if world.baseline > 0 else float("inf")
+                    raise DivergenceError(s, row.round, [], f"the held-out loss is {ratio:.3g} times the baseline")
             except DivergenceError as exc:
                 errors[s] = exc
+            else:
+                reports[s].rounds.append(row)
     if errors:
         raise next(errors[s] for s in strategies if s in errors)
     return ComparisonReport(config.seed, tuple(strategies), reports)

@@ -96,6 +96,27 @@ def weighted_rounds(draw):
     ]
 
 
+@st.composite
+def integer_rounds(draw, equal_ranks=False):
+    """1-10 updates with ranks 1-8 (one shared rank under equal_ranks), m, n
+    in 1-16, integer factor entries in [-8, 8] and weights k/16. Every
+    product and sum of these is a small multiple of 1/256, exact in float64,
+    so any order of summation gives the same bits."""
+    k = draw(st.integers(1, 10))
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    if equal_ranks:
+        ranks = [draw(st.integers(1, 8))] * k
+    else:
+        ranks = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    weights = draw(st.lists(st.integers(0, 16), min_size=k, max_size=k))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def factor(rows, cols):
+        return gen.integers(-8, 9, size=(rows, cols)).astype(float)
+
+    return [WeightedUpdate(LoraAdapter(a=factor(r, n), b=factor(m, r)), w / 16) for r, w in zip(ranks, weights)]
+
+
 class TestFlora:
     def test_hand_fixture(self):
         delta = adapter_delta(aggregate_flora(two_client_fixture()))
@@ -459,6 +480,30 @@ class TestStackingFactorsMatchAdapterComposition:
         shuffled = shuffled_stack(updates, seed)
         assert shuffled.a.tobytes() == composed.a.tobytes()
         assert shuffled.b.tobytes() == composed.b.tobytes()
+
+
+class TestExactOnIntegerFactors:
+    """The paper's claim with no tolerance: on factors whose arithmetic is
+    exact, stacking reproduces the dense weighted sum bit for bit, and
+    averaging's cross term is the hand double sum over client pairs."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(updates=integer_rounds(), seed=st.integers(0, 2**63 - 1))
+    def test_stacking_is_the_oracle(self, updates, seed):
+        oracle = oracle_delta(updates)
+        assert np.array_equal(adapter_delta(aggregate_flora(updates)), oracle)
+        assert np.array_equal(adapter_delta(aggregate_flora(updates[::-1])), oracle)
+        assert np.array_equal(adapter_delta(shuffled_stack(updates, seed)), oracle)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(updates=integer_rounds(equal_ranks=True))
+    def test_averaging_cross_term_is_the_double_sum(self, updates):
+        double_sum = np.zeros((updates[0].adapter.m, updates[0].adapter.n))
+        for i, ui in enumerate(updates):
+            for j, uj in enumerate(updates):
+                if i != j:
+                    double_sum += ui.weight * uj.weight * (ui.adapter.b @ uj.adapter.a)
+        assert np.array_equal(fedit_noise(updates).cross, double_sum)
 
 
 class TestWeightedUpdate:

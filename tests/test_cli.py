@@ -481,6 +481,20 @@ class TestMain:
         produced = sorted(p.name for p in tmp_path.iterdir())
         assert produced == ["sweep.sf0.01.csv", "sweep.sf0.05.csv", "sweep.sf0.1.csv", "sweep.sf0.2.csv"]
 
+    def test_a_sweep_that_cannot_write_a_file_keeps_the_files_it_reported(self, tmp_path, capsys, monkeypatch):
+        # r.sf0.1.csv is a link into a directory that does not exist: the
+        # report-path check passes it, and only writing the third file fails.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.sf0.1.csv").symlink_to("nodir/x")
+        assert main(["sweep-scaling", "--rounds", "1", "--out", "r.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert [line.split(" (")[0] for line in out.splitlines()] == ["wrote r.sf0.01.csv", "wrote r.sf0.05.csv"]
+        assert err.startswith("error: cannot write report to r.sf0.1.csv: [Errno 2] ")
+        assert len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.sf0.01.csv", "r.sf0.05.csv", "r.sf0.1.csv"]
+        assert (tmp_path / "r.sf0.1.csv").is_symlink() and not (tmp_path / "nodir").exists()
+        assert [len(read_report(tmp_path / name)) for name in ("r.sf0.01.csv", "r.sf0.05.csv")] == [2, 2]
+
     def test_m_and_n_below_the_default_teacher_rank_run_with_a_smaller_one(self, tmp_path):
         out = tmp_path / "x.csv"
         path = tmp_path / "small.cfg"

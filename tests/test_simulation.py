@@ -396,7 +396,7 @@ class TestRunExperiment:
         ],
     )
     def test_divergence_names_strategy_round_and_clients(self, monkeypatch, lr, where):
-        # The round's own checks, with the loss-ratio criterion of _run switched
+        # The round's own checks, with the loss-ratio criterion of _compare switched
         # off: at these rates every round-1 loss is finite but far above it.
         monkeypatch.setattr(simulation, "DIVERGENCE_RATIO", float("inf"))
         config = with_overrides(SMALL, lr=lr, rounds=3)
@@ -496,10 +496,17 @@ class TestCompare:
             trained.append(shard)
             return local_train(model, shard, cfg, seed)
 
+        worlds = []
+
+        def spying(config):
+            worlds.append(_build_world(config))
+            return worlds[-1]
+
         monkeypatch.setattr(simulation, "local_train", recording)
-        config = replace(SMALL, strategy="centralized", loss=loss, skew="size-skew", skew_strength=1.0)
-        world = _build_world(config)
-        list(simulation._run(config, config.strategy, world, ServerState(base=world.base)))
+        monkeypatch.setattr(simulation, "_build_world", spying)
+        config = replace(SMALL, loss=loss, skew="size-skew", skew_strength=1.0)
+        compare_strategies(config, ["centralized"])
+        [world] = worlds
         assert len(trained) == config.rounds
         pooled = trained[0]
         for shard in world.shards:
@@ -680,6 +687,39 @@ class TestCompare:
         assert len(problems) == 2
         assert any("unknown strategy 'warp'" in p for p in problems)
         assert any("fedit requires homogeneous ranks" in p for p in problems)
+
+
+class TestRelationsBetweenRuns:
+    """Runs that must agree bit for bit, whatever the numbers they report."""
+
+    def test_one_client_reports_alike_under_every_federated_strategy(self):
+        config = with_overrides(SMALL, clients=1, ranks=(2,), rounds=3)
+        comparison = compare_strategies(config, list(simulation.FEDERATED_STRATEGIES))
+
+        def columns(strategy):
+            rows = comparison.reports[strategy].to_rows()
+            return [(row.global_loss, row.params_up_total, row.params_down_total) for row in rows]
+
+        for strategy in ("fedit", "zero_padding"):
+            assert columns(strategy) == columns("flora")
+            assert [row.relative_noise for row in comparison.reports[strategy].rounds] == [0.0] * config.rounds
+
+    def test_a_fraction_that_draws_every_client_writes_the_report_of_all_clients(self, tmp_path):
+        config = with_overrides(SMALL, clients=10, ranks=(2,) * 10, samples=400, rounds=3)
+        written = {}
+        for fraction in (1.0, 0.95):
+            partial = with_overrides(config, client_fraction=fraction)
+            comparison = compare_strategies(partial, list(simulation.STRATEGIES))
+            path = tmp_path / f"{fraction}.csv"
+            emit_rows(comparison.to_rows(), path, seed=config.seed)
+            written[fraction] = path.read_bytes()
+        assert written[0.95] == written[1.0]
+
+    def test_no_strategy_moves_the_loss_at_learning_rate_zero(self):
+        config = with_overrides(SMALL, lr=0.0, rounds=3)
+        comparison = compare_strategies(config, list(simulation.STRATEGIES))
+        for report in comparison.reports.values():
+            assert [row.global_loss for row in report.to_rows()] == [report.baseline_loss] * (config.rounds + 1)
 
 
 class TestServerClientState:
