@@ -35,11 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lora import BaseWeights, Dim, _frobenius
+from .rng import _MASK64
 
 SKEW_ATOMS = ("iid", "feature-shift", "size-skew", "label-skew")
 SKEW_KINDS = SKEW_ATOMS + ("feature-shift+size-skew",)
-
-_MASK64 = (1 << 64) - 1
 
 # Share of the sample pool held out for evaluation.
 EVAL_FRACTION = 0.2

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import _MASK64
+
 INIT_KINDS = ("zero-delta-gaussian", "zero-delta-uniform")
 
 # The largest std or bound whose every draw is finite. numpy's standard
@@ -79,7 +81,9 @@ class LoraAdapter:
         and finiteness is the caller's to ensure (``InitPolicy`` bounds
         ``init_adapter``'s draw, and ``local_train`` checks its joined buffer
         once). Anything else goes through ``LoraAdapter(a, b)``, which copies
-        and validates.
+        and validates. Validated construction at those two calls read 1.05x
+        ``wall_s`` on the ``verify`` and ``hetero_partial`` benchmark
+        workloads (paired runs, as ``training``'s module docstring describes).
         """
         a.setflags(write=False)
         b.setflags(write=False)
@@ -169,7 +173,7 @@ def init_adapter(dim: Dim, rank: int, policy: InitPolicy, seed: int) -> LoraAdap
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    gen = np.random.default_rng(seed & ((1 << 64) - 1))
+    gen = np.random.default_rng(seed & _MASK64)
     if policy.kind == "zero-delta-gaussian":
         a = gen.normal(0.0, policy.std_or_bound, size=(rank, dim.n))
     else:

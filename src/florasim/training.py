@@ -21,19 +21,25 @@ then exactly factor - lr * gradient, which keeps oracle tests tight.
 The frozen base product x w^T does not change during a local pass, so
 ``local_train`` does not recompute it per step. It walks each epoch's
 shuffled order in chunks of whole batches, about ``data.BLOCK_ROWS`` (256)
-rows: per chunk it gathers the inputs and the targets once from the shared
-sample pool, through the shard's rows (``shard.rows[perm]``), and forms
-x w^T in one GEMM; each step then slices contiguous rows and computes only
-x a^T, the residual and the gradients. The chunk is bounded, not the whole
-shard, because the gathered rows stay in memory: in a 10-client m=n=256
-comparison with 1600-row shards, hoisting whole shards peaked about 3%
-higher (242 MB) than 256-row chunks (235 MB). A chunk's inputs and base
-product go into two buffers made once per call: made afresh per chunk, the
-freed memory went back to the system and was faulted in again by the next
-chunk (47k page faults against 6k in a 10-client m=n=256 comparison, and
-about 10% of local training's time). A chunk's targets are gathered the same
-way, into a third buffer, from the pool's target matrix, so a step gathers
-and indexes nothing.
+rows, and where a chunk ends moves no bit. Per chunk it gathers the inputs
+and the rows of the pool's target matrix once, through the shard's rows
+(``shard.rows[perm]``), and forms x w^T in one GEMM; each step then slices
+contiguous rows and computes only x a^T, the residual and the gradients, so
+a step gathers and indexes nothing.
+
+Each device of this module stays because paired runs show that it pays,
+and its number stands beside it. The runs are fresh-process
+``perfbench/worker.py`` runs at seed 1, 10 pairs per workload with the
+order alternating, on a 2-vCPU x86 VM (numpy 2.4, OpenBLAS 0.3.31); a ratio
+is the median per-pair ratio of the code without the device over the code
+with it. A base product per step, not per chunk,
+read 1.13x ``wall_s`` on ``verify`` and 1.28x on ``wide256`` (a 10-client
+m=n=256 comparison). Chunks of whole shards, not bounded ones, read 1.36x
+``wall_s`` and 1.09x ``peak_rss_mb`` on ``wide256``, since the gathered
+rows stay in memory for the chunk's steps. A chunk's rows go into fresh
+arrays: buffers reused by every chunk of a call save ``wide256`` 3.1k of
+its 16.2k page faults per process but no time (0.99x ``wall_s`` without
+them at seeds 1 and 7, 12 pairs each).
 
 Targets are one thing inside the package: a (count, m) float matrix, the
 values for squared error and one-hot rows for softmax cross-entropy.
@@ -55,8 +61,9 @@ another, so the step's division by the batch count, scaling by the learning
 rate and update run once over both factors, three calls instead of six. Each
 element still gets the same operations in the same order, so the result has
 the bits of separate per-factor updates; folding ``lr / count`` into one
-scalar would not. The residual overwrites the step's outputs in place. The
-trained factors are handed to the adapter without a copy
+scalar would not. Separate buffers read 1.07x ``wall_s`` on ``verify`` and
+on ``hetero_partial``. The residual overwrites the step's outputs in place.
+The trained factors are handed to the adapter without a copy
 (``LoraAdapter._owned``), after one finiteness check over their buffer.
 
 The loss is computed only where it is reported, by ``evaluate``: the
@@ -65,7 +72,8 @@ baseline), and the loss ``loss_and_grads`` returns. It is the mean over rows
 of each row's loss, half the row's summed squared residual or its softmax
 cross-entropy. ``evaluate`` goes through the rows in ``data.row_blocks``,
 writing each row's loss into one vector, so no temporary the size of the
-held-out set is formed beside the sample pool.
+held-out set is formed beside the sample pool: without the blocks,
+``wide256`` read 1.19x ``peak_rss_mb``.
 
 Each numeric job has one implementation. The outputs x (w + b a)^T are
 formed by ``_outputs`` alone, from the base product x w^T, and one batch's
@@ -263,22 +271,15 @@ def local_train(model: ToyModel, shard: ClientShard, cfg: TrainConfig, seed: int
     # Whole batches of about BLOCK_ROWS rows (at least one batch) per hoisted
     # base product; the module docstring says why it is bounded.
     chunk = max(1, BLOCK_ROWS // batch) * batch
-    # The pool's target matrix, formed once per call, and one buffer each for
-    # a chunk's inputs, targets and base product, reused by every chunk. The
-    # shard's rows were checked to index the pool, so mode="clip" never
-    # clips; the default mode would copy the buffer through a temporary.
     targets = _target_matrix(shard.ys, model.base.m, cfg.loss, shard.xs, model.base.n)
-    xs_buf = np.empty((min(chunk, shard.size), shard.xs.shape[1]))
-    ts_buf = np.empty((len(xs_buf), model.base.m))
-    base_buf = np.empty_like(ts_buf)
     for epoch in range(cfg.local_epochs):
         order = np.random.default_rng(derive_seed(seed, epoch)).permutation(shard.size)
         rows = shard.rows[order]
         for chunk_start in range(0, shard.size, chunk):
             idx = rows[chunk_start : chunk_start + chunk]
-            xs = shard.xs.take(idx, axis=0, out=xs_buf[: len(idx)], mode="clip")
-            ts = targets.take(idx, axis=0, out=ts_buf[: len(idx)], mode="clip")
-            base_ys = np.matmul(xs, w.T, out=base_buf[: len(idx)])
+            xs = shard.xs.take(idx, axis=0)
+            ts = targets.take(idx, axis=0)
+            base_ys = np.matmul(xs, w.T)
             for start in range(0, len(idx), batch):
                 step = slice(start, start + batch)
                 _step(xs[step], base_ys[step], ts[step], cfg.loss, a_t, b, b_t, grads, d_a, d_b)

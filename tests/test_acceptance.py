@@ -197,8 +197,12 @@ def test_criterion_7_desk_scale_strategy_comparison():
 
 
 def test_criterion_8_noise_growth_with_clients():
+    # At one weight w for every client the relative noise is about
+    # w sqrt(K - 1); each median must lie within 10% of that.
+    sizes = (2, 5, 10)
+    expected = [0.1 * (k - 1) ** 0.5 for k in sizes]
     medians = []
-    for k in (2, 5, 10):
+    for k in sizes:
         values = []
         for seed in range(20):
             gen = np.random.default_rng(derive_seed(seed, k))
@@ -211,9 +215,12 @@ def test_criterion_8_noise_growth_with_clients():
             values.append(fedit_noise(updates).relative_noise)
         medians.append(median(values))
     assert medians[0] < medians[1] < medians[2]
+    for value, target in zip(medians, expected):
+        assert abs(value - target) <= 0.10 * target
     print(
         "PASS criterion 8: relative noise medians grow with K: "
         + ", ".join(f"{v:.4f}" for v in medians)
+        + ", within 10% of 0.1 sqrt(K-1)"
     )
 
 

@@ -50,6 +50,21 @@ def random_round(gen, homogeneous=False, k=None):
     ]
 
 
+def expected_relative_noise(weights, ranks):
+    """The closed form of the averaging noise for updates whose factors have
+    independent zero-mean unit-variance entries: E||cross||^2 / E||oracle||^2
+    = sum_{i != j} w_i^2 w_j^2 min(r_i, r_j) / sum_i w_i^2 r_i, whatever m and
+    n (two clients' rank-1 terms mix only over their shared leading ranks).
+    Returns its square root, the scale of ``relative_noise``."""
+    pairs = sum(
+        (wi * wj) ** 2 * min(ri, rj)
+        for i, (wi, ri) in enumerate(zip(weights, ranks))
+        for j, (wj, rj) in enumerate(zip(weights, ranks))
+        if i != j
+    )
+    return float(np.sqrt(pairs / sum(w * w * r for w, r in zip(weights, ranks))))
+
+
 def scaled_rank1_pieces(updates):
     """Reference: every update's rank-1 pieces (row i of a, column i of b) in
     stacking order, each a row scaled by its update's weight (the a side only)."""
@@ -259,6 +274,26 @@ class TestZeroPadding:
         assert split.cross.tobytes() == noise.cross.tobytes()
         assert split.relative_noise == noise.relative_noise
         assert not split.signal.flags.writeable and not split.cross.flags.writeable
+
+    def test_closed_form_reduces_to_weight_times_root_of_peers_at_equal_ranks(self):
+        for k in (2, 5, 10):
+            assert expected_relative_noise([0.1] * k, [4] * k) == pytest.approx(0.1 * np.sqrt(k - 1))
+
+    @pytest.mark.parametrize("weight", [0.1, 0.05])
+    def test_mixed_rank_noise_meets_the_closed_form(self, weight):
+        """The median relative noise of 20 random hetero-rank rounds lies within
+        5% of the closed form. At m = n = 64 the median's standard error is
+        about 1% of the form; at m = n = 16 it is about 2%, too wide for the band."""
+        values = []
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            updates = [
+                WeightedUpdate(LoraAdapter(a=gen.normal(size=(r, 64)), b=gen.normal(size=(64, r))), weight)
+                for r in HETERO_RANKS
+            ]
+            values.append(fedit_noise(updates, adapter_delta(aggregate_zero_padding(updates))).relative_noise)
+        expected = expected_relative_noise([weight] * len(HETERO_RANKS), HETERO_RANKS)
+        assert median(values) == pytest.approx(expected, rel=0.05)
 
 
 class TestOracleDelta:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import florasim.simulation as simulation
+import florasim.training as training
 from florasim import (
     BaseWeights,
     CommLedger,
@@ -714,6 +715,31 @@ class TestRelationsBetweenRuns:
             emit_rows(comparison.to_rows(), path, seed=config.seed)
             written[fraction] = path.read_bytes()
         assert written[0.95] == written[1.0]
+
+    @pytest.mark.parametrize(
+        "overrides, strategies",
+        [
+            (dict(clients=2, ranks=(4, 2), samples=5000, batch_size=7),
+             ["flora", "zero_padding", "standalone", "centralized"]),
+            (dict(clients=3, ranks=(3, 3, 3), loss="softmax-cross-entropy",
+                  skew="feature-shift+size-skew", skew_strength=1.0),
+             ["flora", "fedit", "centralized"]),
+            # Shards of 1201 and 1200 rows: chunks of 1200 leave a one-row last chunk.
+            (dict(m=40, n=24, clients=2, ranks=(5, 1), samples=3001, batch_size=1, teacher_rank=3),
+             ["flora", "zero_padding"]),
+        ],
+    )
+    def test_the_training_chunk_size_moves_no_report_byte(self, monkeypatch, tmp_path, overrides, strategies):
+        """Local SGD hoists the base product over chunks of whole batches of
+        about BLOCK_ROWS rows; where the chunks end changes no bit."""
+        config = with_overrides(ExperimentConfig(), **overrides)
+        written = set()
+        for rows in (96, 256, 1000, 1200, 5000):
+            monkeypatch.setattr(training, "BLOCK_ROWS", rows)
+            path = tmp_path / f"{rows}.csv"
+            emit_rows(compare_strategies(config, strategies).to_rows(), path, seed=config.seed)
+            written.add(path.read_bytes())
+        assert len(written) == 1
 
     def test_no_strategy_moves_the_loss_at_learning_rate_zero(self):
         config = with_overrides(SMALL, lr=0.0, rounds=3)
