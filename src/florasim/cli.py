@@ -7,9 +7,12 @@ Subcommands:
                    0.01/0.05/0.1/0.2, one file per factor
     verify         the built-in oracle and invariant suite
 
-run, compare and sweep-scaling differ only in their strategies, factors and
-report paths; each makes one ``simulation.run_comparisons`` call, which
-builds the task and partition once, and prints one line per report written.
+run, compare and sweep-scaling all train the config's ``strategies`` (run
+exactly one) and differ only in their factors and report paths; each makes one
+``simulation.run_comparisons`` call, which builds the task and partition once,
+and prints one line per report written. A command refuses a value it cannot
+honour (two strategies under run, a scaling_override under sweep-scaling) as
+it refuses an invalid one, naming the file line that set it.
 
 Exit codes: 0 success, 1 invalid command line, invalid configuration or
 failed verification, 2 runtime failure (``DivergenceError`` included).
@@ -24,15 +27,14 @@ from pathlib import Path
 from .comm import emit_rows
 from .config import PRESETS, SCALING_SWEEP, _report_path_problem, parse_config_located
 from .errors import ConfigError
-from .simulation import STRATEGIES, run_comparisons
+from .simulation import STRATEGIES, _run_problems, run_comparisons
 from .verification import run_all
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="expand a named preset first")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--strategy", help=f"one of {', '.join(STRATEGIES)}")
-    parser.add_argument("--strategies", help="comma list of strategies (compare, sweep-scaling)")
+    parser.add_argument("--strategies", help=f"comma list of {', '.join(STRATEGIES)} (one for run)")
     parser.add_argument("--clients", help="number of clients")
     parser.add_argument("--ranks", help="comma list of per-client adapter ranks")
     parser.add_argument("--rounds", help="number of communication rounds")
@@ -79,13 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Flags that choose where the config comes from rather than set one of its keys.
 _SOURCE_FLAGS = ("command", "preset", "config")
 
-# The config key a command does not read, and why it refuses the flag that
-# sets it; a preset's or file's value of that key is ignored.
-_UNREAD = {
-    "run": ("strategies", "run trains the one strategy --strategy names"),
-    "sweep-scaling": ("scaling_override", "sweep-scaling weights the clients by each factor it sweeps"),
-}
-
 
 def _config_from_args(args: argparse.Namespace):
     """The config the flags, preset and file give, and the function that
@@ -105,28 +100,26 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return 0 if run_all() else 1
 
-        if args.command in _UNREAD:
-            key, why = _UNREAD[args.command]
-            if getattr(args, key) is not None:
-                raise ConfigError([f"{key}: {why}"])
-            # An empty flag value overrides the ignored key, so it is not validated.
-            setattr(args, key, "")
         config, locate = _config_from_args(args)
-        strategies = list(config.strategies) or [config.strategy]
         if args.command == "sweep-scaling":
             factors = SCALING_SWEEP
             reports = [_sweep_path(config.out, factor) for factor in factors]
         else:
             factors, reports = [config.scaling_override], [config.out]
         try:
-            # Every report path passes the check parse_config made of out, a
-            # sweep's derived paths included, before the first round.
+            # Before the first round, every report path passes the check
+            # parse_config made of out, a sweep's derived paths included, and
+            # the command can honour every value of the config.
             problems = [problem for problem in map(_report_path_problem, reports) if problem]
+            if args.command == "run":
+                problems += _run_problems(config)
+            elif args.command == "sweep-scaling" and config.scaling_override is not None:
+                problems.append("scaling_override: sweep-scaling weights the clients by each factor it sweeps")
             if problems:
                 raise ConfigError(problems)
             # Building the task finds some problems (a task too large to
             # allocate, a non-finite baseline) that parse_config cannot.
-            comparisons = run_comparisons(config, strategies, factors)
+            comparisons = run_comparisons(config, list(config.strategies), factors)
         except ConfigError as exc:
             raise ConfigError([locate(problem) for problem in exc.problems]) from None
         for path, comparison in zip(reports, comparisons):

@@ -2,9 +2,9 @@
 
 Configs are flat key=value text; '#' starts a comment and blank lines are
 ignored. Values are scalars except ``ranks`` and ``strategies``, which are
-comma-separated lists. Precedence when sources are combined: defaults, then
-preset, then config file, then command-line flags. Validation checks every
-field and reports all problems at once.
+comma-separated lists with no empty element. Precedence when sources are
+combined: defaults, then preset, then config file, then command-line flags.
+Validation checks every field and reports all problems at once.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class ExperimentConfig:
     n: int = 16
     clients: int = 10
     ranks: tuple[int, ...] = (16,) * 10
-    strategy: str = "flora"
-    strategies: tuple[str, ...] = ()
+    strategies: tuple[str, ...] = ("flora",)
     rounds: int = 3
     epochs: int = 1
     lr: float = 3e-4
@@ -66,16 +65,15 @@ class ExperimentConfig:
             p.append(f"ranks: got {len(self.ranks)} ranks for {self.clients} clients")
         if any(r < 1 for r in self.ranks):
             p.append(f"ranks: all ranks must be >= 1, got {list(self.ranks)}")
-        for name, value in (("strategy", self.strategy), *(("strategies", s) for s in self.strategies)):
+        if not self.strategies:
+            p.append("strategies: need at least one strategy")
+        for value in self.strategies:
             if value not in STRATEGIES:
-                p.append(f"{name}: unknown strategy {value!r}, expected one of {STRATEGIES}")
+                p.append(f"strategies: unknown strategy {value!r}, expected one of {STRATEGIES}")
         for value in sorted({s for s in self.strategies if self.strategies.count(s) > 1}):
             p.append(f"strategies: {value!r} is listed more than once")
-        # The strategies that run: the list, or strategy when the list is empty.
-        running = self.strategies or (self.strategy,)
-        if "fedit" in running and len(set(self.ranks)) > 1:
-            key = "strategy" if running == (self.strategy,) else "strategies"
-            p.append(f"{key}: fedit requires homogeneous ranks")
+        if "fedit" in self.strategies and len(set(self.ranks)) > 1:
+            p.append("strategies: fedit requires homogeneous ranks")
         if self.rounds < 0:
             p.append(f"rounds: must be >= 0, got {self.rounds}")
         if self.epochs < 1:
@@ -147,12 +145,13 @@ PRESETS: dict[str, dict[str, str]] = {
 }
 
 
-def _parse_ranks(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
-
-
-def _parse_strategies(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip() != "")
+def _parse_list(text: str, item: Callable[[str], object]) -> tuple:
+    """A comma list of items; a blank text is the empty list, and an empty
+    element (``16,,16``) is a ValueError."""
+    parts = [part.strip() for part in text.split(",")] if text.strip() else []
+    if "" in parts:
+        raise ValueError(f"empty element in {text!r}")
+    return tuple(map(item, parts))
 
 
 # One parser per field type; each key's parser follows from its field's type.
@@ -161,8 +160,8 @@ _TYPE_PARSERS = {
     float: float,
     float | None: lambda text: None if text.strip() == "" else float(text),
     str: str.strip,
-    tuple[int, ...]: _parse_ranks,
-    tuple[str, ...]: _parse_strategies,
+    tuple[int, ...]: lambda text: _parse_list(text, int),
+    tuple[str, ...]: lambda text: _parse_list(text, str),
 }
 _PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in get_type_hints(ExperimentConfig).items()}
 

@@ -399,8 +399,6 @@ def run_comparisons(
     order within a round. BLAS runs on one thread throughout, which
     saves CPU time; the reports do not depend on the thread count either way.
     """
-    if not strategies:
-        raise ConfigError(["strategies: need at least one strategy to compare"])
     replace(config, strategies=tuple(strategies)).validate()
     with one_thread():
         world = _build_world(config)
@@ -413,6 +411,15 @@ def compare_strategies(config, strategies: list[str]) -> ComparisonReport:
     return run_comparisons(config, strategies, [config.scaling_override])[0]
 
 
+def _run_problems(config) -> list[str]:
+    """Why ``run`` cannot train config.strategies: it trains exactly one."""
+    count = len(config.strategies)
+    return [] if count == 1 else [f"strategies: run trains one strategy, got {count}"]
+
+
 def run_experiment(config) -> ExperimentReport:
-    """Run all rounds under config.strategy: the comparison of one strategy."""
-    return compare_strategies(config, [config.strategy]).reports[config.strategy]
+    """Run all rounds under the config's one strategy: the comparison of that strategy."""
+    if problems := _run_problems(config):
+        raise ConfigError(problems)
+    (strategy,) = config.strategies
+    return compare_strategies(config, [strategy]).reports[strategy]

@@ -203,8 +203,6 @@ def _separation_wins(ranks: tuple[int, ...], rival: str, seeds: range) -> int:
     for seed in seeds:
         config = ExperimentConfig(
             ranks=ranks,
-            strategy="flora",
-            strategies=(),
             rounds=10,
             epochs=1,
             lr=3e-4,

@@ -72,7 +72,7 @@ def test_run_comparisons_gives_back_the_callers_count(caller_threads):
 
 
 def test_run_comparisons_gives_back_the_callers_count_when_a_run_diverges(caller_threads):
-    config = parse_config(overrides={**TINY, "strategy": "centralized", "lr": "1e8"})
+    config = parse_config(overrides={**TINY, "strategies": "centralized", "lr": "1e8"})
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
         simulation.run_comparisons(config, ["centralized"], [None])
     assert blas_threads() == caller_threads
@@ -105,7 +105,7 @@ def test_run_all_runs_checks_at_the_callers_count_and_comparisons_on_one_thread(
 
 def test_run_all_gives_back_the_callers_count_when_a_check_diverges(caller_threads, monkeypatch):
     def diverging():
-        config = parse_config(overrides={**TINY, "strategy": "centralized", "lr": "1e8"})
+        config = parse_config(overrides={**TINY, "strategies": "centralized", "lr": "1e8"})
         compare_strategies(config, ["centralized"])
 
     monkeypatch.setattr(verification, "CHECKS", [("diverging", diverging)])

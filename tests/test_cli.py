@@ -11,7 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -116,7 +116,7 @@ class TestParseConfig:
 
     def test_fedit_with_mixed_ranks_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match="homogeneous"):
-            parse_config(preset="hetero", overrides={"strategy": "fedit"})
+            parse_config(preset="hetero", overrides={"strategies": "fedit"})
 
     def test_scaling_override_range(self):
         with pytest.raises(ConfigError, match="scaling_override"):
@@ -191,25 +191,27 @@ class TestParseConfig:
         path = tmp_path / "exp.cfg"
         path.write_text("seed = 3\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(path=path, preset="hetero", overrides={"strategy": "fedit", "rounds": "-1"})
+            parse_config(path=path, preset="hetero", overrides={"strategies": "fedit", "rounds": "-1"})
         assert err.value.problems == [
-            "strategy: fedit requires homogeneous ranks",
+            "strategies: fedit requires homogeneous ranks",
             "rounds: must be >= 0, got -1",
         ]
 
-    def test_fedit_rule_covers_only_the_strategies_that_run(self, tmp_path):
-        # strategy names the one strategy only when the strategies list is empty.
-        config = parse_config(preset="hetero", overrides={"strategy": "fedit", "strategies": "flora,zero_padding"})
-        assert config.strategies == ("flora", "zero_padding")
-        # run trains strategy alone, and is named by it.
+    @pytest.mark.parametrize("key, text", [("ranks", "16,16,"), ("strategies", "flora,,fedit")])
+    def test_an_empty_element_of_a_list_is_a_parse_error(self, key, text):
         with pytest.raises(ConfigError) as err:
-            run_experiment(config)
-        assert err.value.problems == ["strategy: fedit requires homogeneous ranks"]
+            parse_config(overrides={"clients": "2", key: text})
+        assert err.value.problems == [f"{key}: cannot parse {text!r}"]
+
+    def test_a_blank_list_is_empty_and_needs_a_strategy(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("strategy = flora\nstrategies = flora,fedit\n")
+        path.write_text("rounds = 1\nstrategies =\n")
         with pytest.raises(ConfigError) as err:
-            parse_config(path=path, preset="hetero")
-        assert err.value.problems == [f"{path}: line 2: strategies: fedit requires homogeneous ranks"]
+            parse_config(path=path)
+        assert err.value.problems == [f"{path}: line 2: strategies: need at least one strategy"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(overrides={"clients": "2", "ranks": " "})
+        assert err.value.problems == ["ranks: got 0 ranks for 2 clients"]
 
     @pytest.mark.parametrize("kind, limit", [("zero-delta-gaussian", "1.46154e+307"), ("zero-delta-uniform", "8.98847e+307")])
     def test_init_std_whose_draw_can_overflow_is_invalid(self, tmp_path, kind, limit):
@@ -319,8 +321,7 @@ def valid_configs(draw):
         n=n,
         clients=clients,
         ranks=ranks,
-        strategy=draw(st.sampled_from(allowed)),
-        strategies=tuple(draw(st.lists(st.sampled_from(allowed), max_size=5, unique=True))),
+        strategies=tuple(draw(st.lists(st.sampled_from(allowed), min_size=1, max_size=5, unique=True))),
         rounds=draw(st.integers(0, 100)),
         epochs=draw(st.integers(1, 10)),
         lr=draw(NONNEGATIVE),
@@ -353,7 +354,6 @@ class TestConfigTextRoundTrip:
 
 # A value for every config flag of run, each unlike the key's default.
 FLAG_VALUES = {
-    "strategy": "zero_padding",
     "strategies": "flora,standalone",
     "clients": "4",
     "ranks": "1,2,3,4",
@@ -579,7 +579,7 @@ class TestOneRunner:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_run_writes_the_bytes_of_a_one_strategy_compare(self, tmp_path, capsys, strategy):
-        assert main(["run", *TINY, "--strategy", strategy, "--out", str(tmp_path / "run.csv")]) == 0
+        assert main(["run", *TINY, "--strategies", strategy, "--out", str(tmp_path / "run.csv")]) == 0
         assert main(["compare", *TINY, "--strategies", strategy, "--out", str(tmp_path / "cmp.csv")]) == 0
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "cmp.csv").read_bytes()
         final = read_report(tmp_path / "run.csv")[-1].global_loss
@@ -624,31 +624,47 @@ def no_rounds(*args, **kwargs):
     raise AssertionError("a round ran before the command's flags and keys were checked")
 
 
-class TestUnreadKeys:
-    """run reads no strategies and sweep-scaling no scaling_override: each
-    refuses the flag and ignores a preset's or file's value."""
+class TestCommandRefusals:
+    """run trains the one strategy its config lists: a problem with it names
+    the file line that set the list, and run_experiment refuses any other
+    count. README's failure table holds each command's refusals."""
 
     def test_run_names_the_file_line_that_set_its_one_strategy(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_comparisons", no_rounds)
         path = tmp_path / "f.cfg"
-        path.write_text("strategy = fedit\nstrategies = flora\n")
+        path.write_text("rounds = 1\nstrategies = fedit\n")
         assert main(["run", "--preset", "hetero", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == f"error: {path}: line 1: strategy: fedit requires homogeneous ranks\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: strategies: fedit requires homogeneous ranks\n"
 
-    def test_run_ignores_the_strategies_of_a_file(self, tmp_path):
-        path = tmp_path / "f.cfg"
-        # A repeated strategy is invalid wherever the list is read.
-        path.write_text("strategies = fedit,fedit\n")
-        assert main(["run", *TINY, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 0
-        assert {row.strategy for row in read_report(tmp_path / "x.csv")} == {"flora"}
+    @pytest.mark.parametrize("strategies", [(), ("flora", "fedit")])
+    def test_run_experiment_refuses_any_count_but_one(self, strategies):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(ExperimentConfig(strategies=strategies))
+        assert err.value.problems == [f"strategies: run trains one strategy, got {len(strategies)}"]
 
-    def test_sweep_ignores_the_scaling_override_of_a_file(self, tmp_path):
-        path = tmp_path / "f.cfg"
-        path.write_text("scaling_override = 0.3\n")
-        assert main(["sweep-scaling", *TINY, "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 0
-        assert main(["sweep-scaling", *TINY, "--out", str(tmp_path / "b.csv")]) == 0
-        for factor in ("0.01", "0.05", "0.1", "0.2"):
-            assert (tmp_path / f"a.sf{factor}.csv").read_bytes() == (tmp_path / f"b.sf{factor}.csv").read_bytes()
+
+class TestOneConfigFile:
+    """One expanded config file re-runs under every command: run and compare
+    write the same report, and compare at a factor writes that sweep file."""
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        config, _ = _config_from_args(build_parser().parse_args(["run", *TINY]))
+        path = tmp_path / "exp.cfg"
+        path.write_text(config_to_text(replace(config, client_fraction=0.5)))
+        return path
+
+    def test_run_and_compare_write_the_same_report(self, tmp_path, config_path):
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run.csv")]) == 0
+        assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "cmp.csv").read_bytes()
+
+    def test_compare_at_a_factor_writes_that_sweep_file(self, tmp_path, config_path):
+        assert main(["sweep-scaling", "--config", str(config_path), "--out", str(tmp_path / "sweep.csv")]) == 0
+        weighted = tmp_path / "sf.cfg"
+        weighted.write_text(config_path.read_text() + "scaling_override = 0.05\n")
+        assert main(["compare", "--config", str(weighted), "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert (tmp_path / "cmp.csv").read_bytes() == (tmp_path / "sweep.sf0.05.csv").read_bytes()
 
 
 def gen_task_within_a_gib(dim, samples, *args):

@@ -123,7 +123,7 @@ class TestRunRound:
     def test_single_client_strategies_collapse(self):
         results = {}
         for strategy in ("flora", "fedit", "zero_padding"):
-            config = with_overrides(SMALL, clients=1, ranks=(2,), strategy=strategy)
+            config = with_overrides(SMALL, clients=1, ranks=(2,), strategies=(strategy,))
             server, jobs, eval_set = fresh_world(config)
             run_round(server, jobs, strategy, TrainConfig(), eval_set)
             results[strategy] = server.base.w
@@ -133,7 +133,7 @@ class TestRunRound:
 
     @pytest.mark.parametrize("strategy", ["flora", "fedit", "zero_padding"])
     def test_zero_learning_rate_leaves_weights(self, strategy):
-        config = with_overrides(SMALL, strategy=strategy, lr=0.0)
+        config = with_overrides(SMALL, strategies=(strategy,), lr=0.0)
         server, jobs, eval_set = fresh_world(config)
         before = server.base.w.tobytes()
         run_round(server, jobs, strategy, TrainConfig(learning_rate=0.0), eval_set)
@@ -241,12 +241,12 @@ class TestRunRound:
 
     def test_noise_metric_only_for_averaging_strategies(self):
         for strategy, expect_noise in (("flora", False), ("fedit", True), ("zero_padding", True)):
-            server, jobs, eval_set = fresh_world(with_overrides(SMALL, strategy=strategy))
+            server, jobs, eval_set = fresh_world(with_overrides(SMALL, strategies=(strategy,)))
             row = run_round(server, jobs, strategy, TrainConfig(), eval_set)
             assert (row.relative_noise is not None) == expect_noise
 
     def test_zero_padding_noise_is_that_of_the_hand_padded_uploads(self):
-        config = with_overrides(SMALL, ranks=(1, 2, 3), strategy="zero_padding")
+        config = with_overrides(SMALL, ranks=(1, 2, 3), strategies=("zero_padding",))
         server, jobs, eval_set = fresh_world(config)
         cfg = TrainConfig()
         adapters = first_round_uploads(server, jobs, cfg)
@@ -296,7 +296,7 @@ class TestRunExperiment:
 
     def test_rounds_are_the_report_rows_after_the_baseline(self):
         for strategy in ("flora", "standalone", "centralized"):
-            report = run_experiment(with_overrides(SMALL, strategy=strategy))
+            report = run_experiment(with_overrides(SMALL, strategies=(strategy,)))
             rows = report.to_rows()
             assert rows[1:] == report.rounds
             assert [row.round for row in report.rounds] == [1, 2]
@@ -310,14 +310,14 @@ class TestRunExperiment:
 
     def test_standalone_runs_without_aggregation(self, monkeypatch):
         added = record_adds(monkeypatch)
-        report = run_experiment(with_overrides(SMALL, strategy="standalone"))
+        report = run_experiment(with_overrides(SMALL, strategies=("standalone",)))
         assert len(report.rounds) == 2
         uploads = [e for e in events_of(added, report.ledger) if e.direction == "up"]
         assert uploads == []
 
     def test_centralized_trains_pooled_adapter(self, monkeypatch):
         added = record_adds(monkeypatch)
-        report = run_experiment(with_overrides(SMALL, strategy="centralized"))
+        report = run_experiment(with_overrides(SMALL, strategies=("centralized",)))
         assert len(report.rounds) == 2
         broadcast = [e for e in events_of(added, report.ledger) if e.party == "broadcast"]
         assert len(broadcast) == 1
@@ -335,7 +335,7 @@ class TestRunExperiment:
     def test_upload_parties_are_the_rounds_participants(self, monkeypatch, strategy):
         added = record_adds(monkeypatch)
         config = with_overrides(
-            SMALL, strategy=strategy, client_fraction=0.3, clients=10, ranks=(2,) * 10, samples=400, rounds=3
+            SMALL, strategies=(strategy,), client_fraction=0.3, clients=10, ranks=(2,) * 10, samples=400, rounds=3
         )
         report = run_experiment(config)
         # Each round's draw, made here independently of the simulation.
@@ -370,7 +370,7 @@ class TestRunExperiment:
             assert row.mean_client_loss == row.global_loss
 
     def test_standalone_loss_is_the_mean_over_its_clients(self):
-        config = with_overrides(SMALL, strategy="standalone")
+        config = with_overrides(SMALL, strategies=("standalone",))
         report = run_experiment(config)
         world = _build_world(config)
         roots = [derive_seed(config.seed, i) for i in range(config.clients)]
@@ -403,7 +403,7 @@ class TestRunExperiment:
         config = with_overrides(SMALL, lr=lr, rounds=3)
         for strategy in ("flora", "fedit", "zero_padding"):
             with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-                run_experiment(with_overrides(config, strategy=strategy))
+                run_experiment(with_overrides(config, strategies=(strategy,)))
             exc = err.value
             assert exc.strategy == strategy and 1 <= exc.round <= 3
             assert str(exc).startswith(f"strategy {strategy} diverged in round {exc.round}: ")
@@ -426,7 +426,7 @@ class TestRunExperiment:
         ],
     )
     def test_reference_divergence_names_strategy_and_round(self, strategy, lr, expected):
-        config = parse_config(preset="hetero", overrides={"strategy": strategy, "lr": str(lr)})
+        config = parse_config(preset="hetero", overrides={"strategies": strategy, "lr": str(lr)})
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             run_experiment(config)
         exc = err.value
@@ -440,7 +440,7 @@ class TestRunExperiment:
 
     def test_centralized_non_finite_held_out_loss(self):
         # At this rate the pooled adapter stays finite but its held-out loss overflows.
-        config = with_overrides(SMALL, strategy="centralized", lr=100.0)
+        config = with_overrides(SMALL, strategies=("centralized",), lr=100.0)
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             run_experiment(config)
         assert str(err.value) == (
@@ -449,7 +449,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("strategy", simulation.STRATEGIES)
     def test_a_loss_above_the_ratio_times_the_baseline_is_divergence(self, monkeypatch, strategy):
-        config = with_overrides(SMALL, strategy=strategy, lr=0.5, rounds=4)
+        config = with_overrides(SMALL, strategies=(strategy,), lr=0.5, rounds=4)
         report = run_experiment(config)
         ratios = [row.global_loss / report.baseline_loss for row in report.rounds]
         assert max(ratios) < simulation.DIVERGENCE_RATIO
@@ -549,7 +549,7 @@ class TestCompare:
             shared = tmp_path / f"{strategy}.shared.csv"
             alone = tmp_path / f"{strategy}.alone.csv"
             emit_rows(comparison.reports[strategy].to_rows(), shared, seed=config.seed)
-            emit_rows(run_experiment(replace(config, strategy=strategy)).to_rows(), alone, seed=config.seed)
+            emit_rows(run_experiment(replace(config, strategies=(strategy,))).to_rows(), alone, seed=config.seed)
             assert shared.read_bytes() == alone.read_bytes()
 
     def test_builds_task_and_partition_once(self, monkeypatch):
@@ -645,7 +645,7 @@ class TestCompare:
         config = with_overrides(SMALL, rounds=3, client_fraction=0.5)
         together = compare_strategies(config, list(simulation.STRATEGIES))
         for s in simulation.STRATEGIES:
-            alone = run_experiment(with_overrides(config, strategy=s))
+            alone = run_experiment(with_overrides(config, strategies=(s,)))
             assert together.reports[s].rounds == alone.rounds
             assert together.reports[s].ledger == alone.ledger
             assert events_of(added, together.reports[s].ledger) == events_of(added, alone.ledger)
@@ -672,8 +672,9 @@ class TestCompare:
             assert [t for name, t in calls if name == s] == list(range(last + 1))
 
     def test_rejects_empty_strategy_list(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             compare_strategies(SMALL, [])
+        assert err.value.problems == ["strategies: need at least one strategy"]
 
     def test_rejects_a_repeated_strategy(self):
         with pytest.raises(ConfigError) as err:
